@@ -10,8 +10,6 @@ conformance properties, and decides behavioral equivalence of two machines.
 from .analysis import (
     EnumerationConfig,
     EnumerationResult,
-    agreement_property,
-    brute_force_attainable,
     check_postulates,
     enumerate_attainable,
     equivalent,
@@ -53,10 +51,8 @@ __all__ = [
     "Structure",
     "Verdict",
     "Vocabulary",
-    "agreement_property",
     "apply_isomorphism",
     "apply_updates",
-    "brute_force_attainable",
     "causes",
     "check_isomorphism",
     "check_postulates",

@@ -3,15 +3,22 @@
 Enumeration grows a frontier: from each non-final attainable history, every
 nonempty sub-map of the pending queries into the reply pool yields a child by
 appending one simultaneity class.  Children are attainable by construction.
-The brute-force generator used for cross-checking instead produces *all*
-phase-partitioned answer functions inside the bounds and filters them by
-coherence and the no-proper-final-prefix condition.
+Enumeration is the only way this module explores a state's histories.
+
+Part a of the step postulate asks every complete coherent history to have a
+final initial segment.  The attainable set decides it: a coherent history
+cannot extend a complete proper prefix, because the first class after that
+prefix would answer queries the prefix does not leave pending.  So a complete
+coherent history with no final prefix is attainable, and since its proper
+prefixes are non-final it can only be final itself.  In lax mode completion
+finality makes it final, so step-a always holds; strict mode asks for a
+final rule that fires on it.
 
 Equivalence of two machine descriptions is decided clause by clause: same
 states/initial/labels, same attainable sets, same issued sets, same final
 classifications, same update sets on successful finals.  The weak variant
 only compares behavior on histories attainable for both; the two verdicts
-provably coincide, which agreement_property re-checks.
+provably coincide.
 """
 
 from __future__ import annotations
@@ -20,38 +27,32 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import EngineError
 from .history import (
     EMPTY_HISTORY,
     History,
-    Label,
-    Query,
     append_class,
     format_history,
     format_query,
     history_sort_key,
-    mk_history,
     query_sort_key,
 )
 from .isomorphism import Isomorphism, apply_isomorphism, check_isomorphism
 from .model import (
     AlgorithmSpec,
-    StateDef,
     causes,
     check_bounds,
     check_witness,
     explicitly_final,
     history_valid_for,
-    is_coherent,
     issued,
     pending,
     update_set,
     verdict,
 )
-from .history import initial_segments
-from .structure import Structure, term_variables
+from .structure import Structure
 
 
 class AnalysisError(EngineError):
@@ -93,10 +94,6 @@ class EnumerationResult:
     truncated: bool
 
 
-def _has_proper_final_prefix(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
-    return any(verdict(spec, x, eta).is_final for eta in initial_segments(xi)[:-1])
-
-
 def enumerate_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> EnumerationResult:
     """All attainable histories within the bounds, by breadth-first expansion."""
     pool = cfg.pool_for(x)
@@ -127,79 +124,6 @@ def enumerate_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConf
     if truncated:
         warnings.warn("enumeration bounds cut off part of the space", TruncationWarning, stacklevel=2)
     return EnumerationResult(frozenset(seen), truncated)
-
-
-# --- Brute-force generation (the enumerator's cross-check) ------------------------
-
-
-def query_universe(spec: AlgorithmSpec, x: Structure, pool: Sequence[str]) -> frozenset[Query]:
-    """Every query the issue rules can emit when replies range over the pool."""
-    from .history import Elem
-    from .structure import eval_term
-
-    out: set[Query] = set()
-    for rule in spec.issue_rules:
-        names: list[str] = []
-        for part in rule.template.parts:
-            if not isinstance(part, Label):
-                names.extend(v.name for v in term_variables(part))
-        names = sorted(set(names))
-        for combo in product(pool, repeat=len(names)):
-            valuation = dict(zip(names, combo))
-            parts = []
-            for part in rule.template.parts:
-                if isinstance(part, Label):
-                    parts.append(part)
-                else:
-                    parts.append(Elem(eval_term(x, part, valuation)))
-            out.add(Query(tuple(parts)))
-    return frozenset(out)
-
-
-def _ordered_partitions(items: tuple, max_classes: int) -> Iterator[tuple[tuple, ...]]:
-    """All ways to split items into an ordered sequence of nonempty classes."""
-    if not items:
-        yield ()
-        return
-    if max_classes < 1:
-        return
-    rest = items[1:]
-    first = items[0]
-    for split in _ordered_partitions(rest, max_classes):
-        # put `first` into an existing class
-        for i in range(len(split)):
-            yield split[:i] + ((first, *split[i]),) + split[i + 1 :]
-        # or open a new class at any position
-        if len(split) < max_classes:
-            for i in range(len(split) + 1):
-                yield split[:i] + ((first,),) + split[i:]
-
-
-def all_bounded_histories(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> Iterator[History]:
-    """All phase-partitioned answer functions over the query universe, within bounds."""
-    pool = cfg.pool_for(x)
-    universe = sorted(query_universe(spec, x, pool), key=query_sort_key)
-    max_k = min(cfg.max_domain, len(universe))
-    for k in range(0, max_k + 1):
-        for domain in combinations(universe, k):
-            for split in _ordered_partitions(domain, cfg.max_phases):
-                phases = {q: i for i, cls in enumerate(split) for q in cls}
-                for values in product(pool, repeat=k):
-                    answers = dict(zip(domain, values))
-                    yield mk_history(answers, phases)
-
-
-def brute_force_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> frozenset[History]:
-    """Filter all bounded histories by coherence and no-proper-final-prefix."""
-    return frozenset(
-        xi
-        for xi in all_bounded_histories(spec, x, cfg)
-        if is_coherent(spec, x, xi) and not _has_proper_final_prefix(spec, x, xi)
-    )
-
-
-def brute_force_coherent(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> frozenset[History]:
-    return frozenset(xi for xi in all_bounded_histories(spec, x, cfg) if is_coherent(spec, x, xi))
 
 
 # --- Postulate conformance ---------------------------------------------------------
@@ -258,19 +182,11 @@ def check_postulates(
 
     for sdef in spec.states:
         x = sdef.structure
-        for xi in sorted(brute_force_coherent(spec, x, cfg), key=history_sort_key):
-            if pending(spec, x, xi):
-                continue
-            segs = initial_segments(xi)
-            if strict:
-                ok = any(explicitly_final(spec, x, eta) for eta in segs)
-            else:
-                ok = any(verdict(spec, x, eta).is_final for eta in segs)
-            if not ok:
-                step_a.append(f"state {sdef.name}: complete coherent {format_history(xi)} has no final prefix")
-
         res = attainable_by_state[sdef.name]
         for xi in sorted(res.histories, key=history_sort_key):
+            # step-a: in lax mode completion finality makes every complete history final
+            if strict and not pending(spec, x, xi) and not explicitly_final(spec, x, xi):
+                step_a.append(f"state {sdef.name}: complete coherent {format_history(xi)} has no final prefix")
             v = verdict(spec, x, xi)
             if v.is_final and v.kind not in ("success", "fail"):
                 exclusivity.append(f"state {sdef.name}: {format_history(xi)} has verdict {v.kind!r}")
@@ -455,11 +371,6 @@ def equivalent(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: EnumerationCon
 def weak_equivalent(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: EnumerationConfig) -> EquivalenceReport:
     """Decide equivalence comparing behavior only on commonly attainable histories."""
     return _compare(spec_a, spec_b, cfg, weak=True)
-
-
-def agreement_property(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: EnumerationConfig) -> bool:
-    """The full and weak checkers must return the same verdict."""
-    return equivalent(spec_a, spec_b, cfg).equivalent == weak_equivalent(spec_a, spec_b, cfg).equivalent
 
 
 def format_equivalence_report(report: EquivalenceReport, fmt: str = "human") -> str:

@@ -1,9 +1,9 @@
 """Command-line surface: validate, step, run, repl, enumerate, check, equiv.
 
-Exit codes: 0 success, 1 fail (or non-equivalence), 2 hang, 3 conformance
-error (or failed conformance report), 4 usage or parse error.  Output is
-deterministic for fixed inputs; `--format machine` switches to key=value
-lines meant for tooling.
+Exit codes: 0 success, 1 fail (or non-equivalence), 2 hang, 3 failed
+conformance report, 4 usage or parse error.  Output is deterministic for
+fixed inputs; `--format machine` switches to key=value lines meant for
+tooling.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ def _build_parser() -> _Parser:
 
     def add_common(sp):
         sp.add_argument("--format", choices=("human", "machine"), default="human")
-        sp.add_argument("--jobs", type=int, default=1, help="analysis parallelism (results are schedule-independent)")
 
     sp = sub.add_parser("validate", help="parse and statically check a machine description")
     sp.add_argument("spec", type=Path)
@@ -148,7 +147,7 @@ def _cmd_step(args, out) -> int:
 def _cmd_repl(args, out) -> int:
     spec = _load_spec(args.spec)
     x = _pick_state(spec, args.state)
-    env = execution.interactive_environment(sys.stdin, out)
+    env = execution.InteractiveEnvironment(sys.stdin, out)
     trace = execution.step(spec, x, env, max_phases=args.max_phases)
     out.write(execution.format_trace(trace, args.format))
     return execution.EXIT_CODES[trace.outcome.kind]
@@ -253,9 +252,6 @@ def dispatch(argv: list[str] | None = None, out=None) -> int:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, out)
     except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_EXIT
-    except dsl.DslError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
     except EngineError as exc:

@@ -32,6 +32,7 @@ empty history.  `not`, `and`, `or` are reserved in guard position, so terms
 in source cannot apply the logic connectives (build such terms via the API;
 `Boole` and `eq` remain spellable).  `reply(q) = t` always parses as the
 reply-comparison atom.  Identifiers are ASCII alphanumeric plus underscore.
+`not`, parenthesized guards and term arguments nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -194,6 +195,8 @@ def tokenize(text: str) -> list[Token]:
 
 # --- Parser ---------------------------------------------------------------------
 
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -202,6 +205,7 @@ class _Parser:
         self.labels: set[str] = set()
         self.vocab: Vocabulary | None = None
         self.template_names: set[str] = set()
+        self.depth = 0
 
     # token plumbing
 
@@ -234,6 +238,12 @@ class _Parser:
             return self.advance()
         tok = self.peek()
         raise DslSyntaxError(f"expected {what}, found {tok.text!r}", tok.span, expected=("IDENT",))
+
+    def nest(self, tok: Token) -> None:
+        """Enter one more level of guard or term nesting, opened by tok."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise DslSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok.span)
 
     def span_from(self, start: Span) -> Span:
         end = self.tokens[self.pos - 1].span if self.pos else start
@@ -416,12 +426,15 @@ class _Parser:
             raise DslNameError(f"unknown symbol {tok.text!r}", tok.span)
         decl = self.vocab.decl(tok.text)
         args: list[Term] = []
-        if self.accept("("):
+        open_tok = self.accept("(")
+        if open_tok:
+            self.nest(open_tok)
             if not self.at(")"):
                 args.append(self.parse_term())
                 while self.accept(","):
                     args.append(self.parse_term())
             self.expect(")")
+            self.depth -= 1
         if len(args) != decl.arity:
             raise DslArityError(f"{tok.text!r} has arity {decl.arity}, applied to {len(args)} arguments", tok.span)
         return App(tok.text, tuple(args))
@@ -450,9 +463,13 @@ class _Parser:
         return left
 
     def _parse_not(self) -> Guard:
-        if self.accept("not"):
-            return Not(self._parse_not())
-        return self._parse_atom()
+        tok = self.accept("not")
+        if tok is None:
+            return self._parse_atom()
+        self.nest(tok)
+        inner = self._parse_not()
+        self.depth -= 1
+        return Not(inner)
 
     def _parse_atom(self) -> Guard:
         tok = self.peek()
@@ -485,8 +502,10 @@ class _Parser:
             return ReplyEq(qname, term, span=self.span_from(tok.span))
         if tok.kind == "(":
             self.advance()
+            self.nest(tok)
             inner = self.parse_guard()
             self.expect(")")
+            self.depth -= 1
             return inner
         left = self.parse_term()
         self.expect("=")

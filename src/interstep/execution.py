@@ -134,10 +134,6 @@ class InteractiveEnvironment:
             w("commands: answer (query) = element | go | stall\n")
 
 
-def interactive_environment(stdin: TextIO, stdout: TextIO) -> InteractiveEnvironment:
-    return InteractiveEnvironment(stdin, stdout)
-
-
 # --- Step traces -------------------------------------------------------------
 
 
@@ -155,7 +151,7 @@ class PhaseRecord:
 
 @dataclass(frozen=True)
 class Outcome:
-    kind: str  # "success" | "fail" | "hang" | "conformance-error"
+    kind: str  # "success" | "fail" | "hang"
     detail: str | None = None
 
 
@@ -193,9 +189,6 @@ def _execute(spec: AlgorithmSpec, x: Structure, env: Environment, max_phases: in
                 return trace(Outcome("success"), v, delta=delta, nxt=apply_updates(x, delta))
             return trace(Outcome("fail", v.reason), v)
         pend = pending(spec, x, xi)
-        if not pend:
-            # unreachable while completion finality is on; kept as a guard
-            return trace(Outcome("conformance-error", "complete history with no final prefix"), v, pend=pend)
         if xi.length >= max_phases:
             return trace(Outcome("hang", f"no final history within {max_phases} phases"), v, pend=pend)
         batch = env.next_batch(x, xi, pend)
@@ -316,7 +309,7 @@ def format_script(items: Iterable[Batch | Stall]) -> str:
 
 # --- Trace rendering -------------------------------------------------------------
 
-EXIT_CODES = {"success": 0, "fail": 1, "hang": 2, "conformance-error": 3}
+EXIT_CODES = {"success": 0, "fail": 1, "hang": 2}
 
 
 def format_trace(trace: StepTrace, fmt: str = "human") -> str:

@@ -194,14 +194,6 @@ def mk_history(answers: AnswerFunction, phase: Mapping[Query, int], *, normalize
     return History(_canonical_entries(answers, norm))
 
 
-def history_from_classes(classes: Iterable[AnswerFunction]) -> History:
-    """Build a history from successive simultaneity classes."""
-    out = EMPTY_HISTORY
-    for batch in classes:
-        out = append_class(out, batch)
-    return out
-
-
 # --- Initial-segment algebra --------------------------------------------------
 
 

@@ -141,14 +141,6 @@ class Or:
 Guard = Start | Answered | Unanswered | ReplyEq | Before | Simultaneous | TermEq | Not | And | Or
 
 
-def conj(*guards: Guard) -> Guard:
-    """Left-associated conjunction of one or more guards."""
-    out = guards[0]
-    for g in guards[1:]:
-        out = And(out, g)
-    return out
-
-
 # --- Templates and rules --------------------------------------------------------
 
 

@@ -10,22 +10,25 @@ from interstep.analysis import (
     ConfigMismatch,
     EnumerationConfig,
     TruncationWarning,
-    agreement_property,
-    all_bounded_histories,
-    brute_force_attainable,
-    brute_force_coherent,
     check_postulates,
     enumerate_attainable,
     equivalent,
     format_equivalence_report,
     format_postulate_report,
     parse_iso_file,
-    query_universe,
     weak_equivalent,
 )
 from interstep.dsl import parse_spec
 from interstep.history import EMPTY_HISTORY, initial_segments, is_initial_segment
 from interstep.model import Answered, And, IssueRule, Unanswered, is_attainable, verdict
+from oracle import (
+    agreement_property,
+    all_bounded_histories,
+    brute_force_attainable,
+    brute_force_coherent,
+    brute_force_step_a,
+    query_universe,
+)
 
 SMALL = EnumerationConfig(reply_pool=("yes", "no"), max_phases=3, max_domain=4)
 FULL = EnumerationConfig(reply_pool=BROKER_POOL, max_phases=3, max_domain=4)
@@ -114,6 +117,18 @@ class TestBruteForce:
         assert any(xi not in attainable for xi in coherent)
 
 
+# broker with some final rules dropped, and the strict step-a violation count per (phases, queries) bound
+STEP_A_FORMS = {
+    "as-is": (lambda rules: rules, {(3, 4): 0, (2, 8): 0}),
+    "no-timeout-endings": (
+        lambda rules: [r for r in rules if r.name not in ("no_sale", "expired")],
+        {(3, 4): 26, (2, 8): 14},
+    ),
+    "no-final-rules": (lambda rules: (), {(3, 4): 118, (2, 8): 58}),
+    "first-final-rule": (lambda rules: rules[:1], {(3, 4): 72, (2, 8): 36}),
+}
+
+
 class TestCheckPostulates:
     def test_broker_conforms(self, broker):
         report = check_postulates(broker, FULL)
@@ -144,6 +159,18 @@ class TestCheckPostulates:
         tight = dataclasses.replace(broker, bounds=dataclasses.replace(broker.bounds, max_issued=2))
         report = check_postulates(tight, SMALL)
         assert not report.section("bounds").passed
+
+    @pytest.mark.filterwarnings("ignore::interstep.analysis.TruncationWarning")
+    @pytest.mark.parametrize("bounds", [(3, 4), (2, 8)], ids=["3-phases-4-queries", "2-phases-8-queries"])
+    @pytest.mark.parametrize("form", STEP_A_FORMS)
+    def test_step_a_matches_the_brute_force_scan(self, broker, form, bounds):
+        keep, strict_counts = STEP_A_FORMS[form]
+        spec = dataclasses.replace(broker, final_rules=tuple(keep(broker.final_rules)))
+        cfg = EnumerationConfig(reply_pool=("no", "yes"), max_phases=bounds[0], max_domain=bounds[1])
+        for strict in (False, True):
+            violations = check_postulates(spec, cfg, strict=strict).section("step-a").violations
+            assert list(violations) == brute_force_step_a(spec, cfg, strict)
+            assert len(violations) == (strict_counts[bounds] if strict else 0)
 
     def test_report_formats(self, broker):
         report = check_postulates(broker, SMALL)

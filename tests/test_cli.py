@@ -1,0 +1,85 @@
+"""Exit-code contract of the command line, run in-process through `dispatch`."""
+
+from __future__ import annotations
+
+import io
+
+import pytest
+
+from conftest import SCRIPTS, SPECS
+from interstep.cli import dispatch
+
+BROKER = str(SPECS / "broker.isa")
+SMALL = ["--pool", "no,yes", "--max-phases", "3", "--max-domain", "4"]
+
+
+def run_cli(*argv: str) -> tuple[int, str]:
+    out = io.StringIO()
+    code = dispatch(list(argv), out)
+    return code, out.getvalue()
+
+
+def write_broker_without_final_rules(tmp_path) -> str:
+    lines = (SPECS / "broker.isa").read_text().splitlines(keepends=True)
+    path = tmp_path / "no_finals.isa"
+    path.write_text("".join(line for line in lines if not line.startswith("final ")))
+    return str(path)
+
+
+@pytest.mark.parametrize("spec", ["broker.isa", "broker_preferred.isa", "broker_sym.isa"])
+def test_validate_shipped_spec_exits_0(spec):
+    code, out = run_cli("validate", str(SPECS / spec), "--format", "machine")
+    assert code == 0
+    assert out.endswith("result=valid\n")
+
+
+@pytest.mark.parametrize("script", ["both_no", "tie", "timeout", "yes0", "yes_then_yes"])
+def test_step_to_success_exits_0(script):
+    code, out = run_cli("step", BROKER, "--script", str(SCRIPTS / f"{script}.env"), "--format", "machine")
+    assert code == 0
+    assert out.startswith("outcome=success\n")
+
+
+def test_non_equivalent_pair_exits_1():
+    code, out = run_cli("equiv", BROKER, str(SPECS / "broker_preferred.isa"), *SMALL, "--format", "machine")
+    assert code == 1
+    assert out.startswith("equivalent=false\n")
+
+
+def test_stalled_step_exits_2():
+    code, out = run_cli("step", BROKER, "--script", str(SCRIPTS / "no1_stall.env"), "--format", "machine")
+    assert code == 2
+    assert out.startswith("outcome=hang\n")
+
+
+def test_failed_conformance_report_exits_3(tmp_path):
+    spec = write_broker_without_final_rules(tmp_path)
+    code, out = run_cli("check", spec, *SMALL, "--strict", "--format", "machine")
+    assert code == 3
+    assert "step-a=fail" in out.splitlines()
+    assert out.endswith("result=nonconforming\n")
+    assert run_cli("check", spec, *SMALL)[0] == 0
+
+
+def test_parse_error_exits_4(tmp_path, capsys):
+    path = tmp_path / "broken.isa"
+    path.write_text((SPECS / "broker.isa").read_text().replace(" emit (offer0)", ""))
+    assert run_cli("validate", str(path))[0] == 4
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unreadable_path_exits_4(tmp_path, capsys):
+    assert run_cli("validate", str(tmp_path / "missing.isa"))[0] == 4
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_unknown_option_exits_4():
+    assert run_cli("validate", BROKER, "--jobs", "2")[0] == 4
+
+
+def test_deeply_nested_guard_exits_4(tmp_path, capsys):
+    path = tmp_path / "deep.isa"
+    deep = "issue ask0: when " + "not " * 4000 + "start"
+    path.write_text((SPECS / "broker.isa").read_text().replace("issue ask0: when start", deep))
+    assert run_cli("validate", str(path))[0] == 4
+    assert "nesting deeper than" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import SPECS
 from interstep.dsl import (
+    MAX_NESTING,
     DslArityError,
     DslNameError,
     DslSyntaxError,
@@ -149,6 +150,39 @@ class TestGuardGrammar:
         ]:
             g = self.parse_guard_text(text)
             assert self.parse_guard_text(format_guard(g)) == g
+
+
+NESTED = {
+    "not": ("not", lambda n: "not " * n + "start"),
+    "parentheses": ("(", lambda n: "(" * n + "start" + ")" * n),
+    "applications": ("(", lambda n: "f(" * n + "a" + ")" * n + " = a"),
+}
+
+
+def spec_with_nested_guard(shape: str, depth: int) -> str:
+    guard = NESTED[shape][1](depth)
+    return MINIMAL.replace("vocabulary { }", "vocabulary { static a/0 static f/1 }").replace(
+        "bounds {", f"final deep: when {guard} succeed\nbounds {{"
+    )
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_limit_depth_parses(self, shape):
+        parse_spec(spec_with_nested_guard(shape, MAX_NESTING))
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 4000])
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_deeper_nesting_is_a_spanned_syntax_error(self, shape, depth):
+        text = spec_with_nested_guard(shape, depth)
+        with pytest.raises(DslSyntaxError) as err:
+            parse_spec(text)
+        span = err.value.span
+        opener = NESTED[shape][0]
+        assert text[span.start : span.end] == opener
+        before = text[: span.start]
+        # the span is the opener one level past the limit
+        assert before[before.rindex("\n") :].count(opener) == MAX_NESTING
 
 
 class TestPrint:
