@@ -3,7 +3,11 @@
 Enumeration grows a frontier: from each non-final attainable history, every
 nonempty sub-map of the pending queries into the reply pool yields a child by
 appending one simultaneity class.  Children are attainable by construction.
-Enumeration is the only way this module explores a state's histories.
+Enumeration is the only way the commands explore a state's histories.  The
+brute-force generator below (`all_bounded_histories`, `brute_force_coherent`)
+produces *all* phase-partitioned answer functions inside the bounds instead;
+no command calls it.  The tests use it as an oracle, and it stays in the
+package because `perfbench/tracing.py` traces it by name.
 
 Part a of the step postulate asks every complete coherent history to have a
 final initial segment.  The attainable set decides it: a coherent history
@@ -27,16 +31,20 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import EngineError
 from .history import (
     EMPTY_HISTORY,
+    Elem,
     History,
+    Label,
+    Query,
     append_class,
     format_history,
     format_query,
     history_sort_key,
+    mk_history,
     query_sort_key,
 )
 from .isomorphism import Isomorphism, apply_isomorphism, check_isomorphism
@@ -47,12 +55,13 @@ from .model import (
     check_witness,
     explicitly_final,
     history_valid_for,
+    is_coherent,
     issued,
     pending,
     update_set,
     verdict,
 )
-from .structure import Structure
+from .structure import Structure, eval_term, term_variables
 
 
 class AnalysisError(EngineError):
@@ -124,6 +133,67 @@ def enumerate_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConf
     if truncated:
         warnings.warn("enumeration bounds cut off part of the space", TruncationWarning, stacklevel=2)
     return EnumerationResult(frozenset(seen), truncated)
+
+
+# --- Brute-force generation (the tests' oracle; no command calls it) ---------------
+
+
+def query_universe(spec: AlgorithmSpec, x: Structure, pool: Sequence[str]) -> frozenset[Query]:
+    """Every query the issue rules can emit when replies range over the pool."""
+    out: set[Query] = set()
+    for rule in spec.issue_rules:
+        names: list[str] = []
+        for part in rule.template.parts:
+            if not isinstance(part, Label):
+                names.extend(v.name for v in term_variables(part))
+        names = sorted(set(names))
+        for combo in product(pool, repeat=len(names)):
+            valuation = dict(zip(names, combo))
+            parts = []
+            for part in rule.template.parts:
+                if isinstance(part, Label):
+                    parts.append(part)
+                else:
+                    parts.append(Elem(eval_term(x, part, valuation)))
+            out.add(Query(tuple(parts)))
+    return frozenset(out)
+
+
+def _ordered_partitions(items: tuple, max_classes: int) -> Iterator[tuple[tuple, ...]]:
+    """All ways to split items into an ordered sequence of nonempty classes."""
+    if not items:
+        yield ()
+        return
+    if max_classes < 1:
+        return
+    rest = items[1:]
+    first = items[0]
+    for split in _ordered_partitions(rest, max_classes):
+        # put `first` into an existing class
+        for i in range(len(split)):
+            yield split[:i] + ((first, *split[i]),) + split[i + 1 :]
+        # or open a new class at any position
+        if len(split) < max_classes:
+            for i in range(len(split) + 1):
+                yield split[:i] + ((first,),) + split[i:]
+
+
+def all_bounded_histories(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> Iterator[History]:
+    """All phase-partitioned answer functions over the query universe, within bounds."""
+    pool = cfg.pool_for(x)
+    universe = sorted(query_universe(spec, x, pool), key=query_sort_key)
+    max_k = min(cfg.max_domain, len(universe))
+    for k in range(0, max_k + 1):
+        for domain in combinations(universe, k):
+            for split in _ordered_partitions(domain, cfg.max_phases):
+                phases = {q: i for i, cls in enumerate(split) for q in cls}
+                for values in product(pool, repeat=k):
+                    answers = dict(zip(domain, values))
+                    yield mk_history(answers, phases)
+
+
+def brute_force_coherent(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> frozenset[History]:
+    return frozenset(xi for xi in all_bounded_histories(spec, x, cfg) if is_coherent(spec, x, xi))
 
 
 # --- Postulate conformance ---------------------------------------------------------

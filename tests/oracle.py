@@ -1,89 +1,40 @@
 """Brute-force oracles for the analysis tests.
 
-The package explores a state's histories only by frontier enumeration.  The
-generators here instead produce *all* phase-partitioned answer functions over
-the query universe inside the bounds, and filter them by the definitions:
-coherence, and no proper final prefix.  They are exponential and exist to
-cross-check `enumerate_attainable` and `check_postulates`.
+`interstep.analysis.all_bounded_histories` produces *all* phase-partitioned
+answer functions over the query universe inside the bounds, and
+`brute_force_coherent` keeps the coherent ones.  The oracles here filter them
+further by the definitions: no proper final prefix, and the old step-a scan
+for a final segment.  They are exponential and exist to cross-check
+`enumerate_attainable` and `check_postulates`.  The generators themselves are
+re-exported, so that the tests take every brute-force name from this module.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from typing import Iterator, Sequence
-
-from interstep.analysis import EnumerationConfig, equivalent, weak_equivalent
-from interstep.history import (
-    Elem,
-    History,
-    Label,
-    Query,
-    format_history,
-    history_sort_key,
-    initial_segments,
-    mk_history,
-    query_sort_key,
+from interstep.analysis import (
+    EnumerationConfig,
+    all_bounded_histories,
+    brute_force_coherent,
+    equivalent,
+    query_universe,
+    weak_equivalent,
 )
+from interstep.history import History, format_history, history_sort_key, initial_segments
 from interstep.model import AlgorithmSpec, explicitly_final, is_coherent, pending, verdict
-from interstep.structure import Structure, eval_term, term_variables
+from interstep.structure import Structure
+
+__all__ = [
+    "agreement_property",
+    "all_bounded_histories",
+    "brute_force_attainable",
+    "brute_force_coherent",
+    "brute_force_step_a",
+    "query_universe",
+]
 
 
 def _has_proper_final_prefix(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
     return any(verdict(spec, x, eta).is_final for eta in initial_segments(xi)[:-1])
-
-
-def query_universe(spec: AlgorithmSpec, x: Structure, pool: Sequence[str]) -> frozenset[Query]:
-    """Every query the issue rules can emit when replies range over the pool."""
-    out: set[Query] = set()
-    for rule in spec.issue_rules:
-        names: list[str] = []
-        for part in rule.template.parts:
-            if not isinstance(part, Label):
-                names.extend(v.name for v in term_variables(part))
-        names = sorted(set(names))
-        for combo in product(pool, repeat=len(names)):
-            valuation = dict(zip(names, combo))
-            parts = []
-            for part in rule.template.parts:
-                if isinstance(part, Label):
-                    parts.append(part)
-                else:
-                    parts.append(Elem(eval_term(x, part, valuation)))
-            out.add(Query(tuple(parts)))
-    return frozenset(out)
-
-
-def _ordered_partitions(items: tuple, max_classes: int) -> Iterator[tuple[tuple, ...]]:
-    """All ways to split items into an ordered sequence of nonempty classes."""
-    if not items:
-        yield ()
-        return
-    if max_classes < 1:
-        return
-    rest = items[1:]
-    first = items[0]
-    for split in _ordered_partitions(rest, max_classes):
-        # put `first` into an existing class
-        for i in range(len(split)):
-            yield split[:i] + ((first, *split[i]),) + split[i + 1 :]
-        # or open a new class at any position
-        if len(split) < max_classes:
-            for i in range(len(split) + 1):
-                yield split[:i] + ((first,),) + split[i:]
-
-
-def all_bounded_histories(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> Iterator[History]:
-    """All phase-partitioned answer functions over the query universe, within bounds."""
-    pool = cfg.pool_for(x)
-    universe = sorted(query_universe(spec, x, pool), key=query_sort_key)
-    max_k = min(cfg.max_domain, len(universe))
-    for k in range(0, max_k + 1):
-        for domain in combinations(universe, k):
-            for split in _ordered_partitions(domain, cfg.max_phases):
-                phases = {q: i for i, cls in enumerate(split) for q in cls}
-                for values in product(pool, repeat=k):
-                    answers = dict(zip(domain, values))
-                    yield mk_history(answers, phases)
 
 
 def brute_force_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> frozenset[History]:
@@ -93,10 +44,6 @@ def brute_force_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationCo
         for xi in all_bounded_histories(spec, x, cfg)
         if is_coherent(spec, x, xi) and not _has_proper_final_prefix(spec, x, xi)
     )
-
-
-def brute_force_coherent(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> frozenset[History]:
-    return frozenset(xi for xi in all_bounded_histories(spec, x, cfg) if is_coherent(spec, x, xi))
 
 
 def brute_force_step_a(spec: AlgorithmSpec, cfg: EnumerationConfig, strict: bool) -> list[str]:
