@@ -32,12 +32,14 @@ empty history.  `not`, `and`, `or` are reserved in guard position, so terms
 in source cannot apply the logic connectives (build such terms via the API;
 `Boole` and `eq` remain spellable).  `reply(q) = t` always parses as the
 reply-comparison atom.  Identifiers are ASCII alphanumeric plus underscore.
-`not`, parenthesized guards and term arguments nest at most MAX_NESTING deep.
+`not`, parenthesized guards and term arguments nest at most MAX_NESTING deep,
+and each `and`/`or` of a chain counts as one more level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import EngineError
 from .history import Label
@@ -448,28 +450,48 @@ class _Parser:
     # guards
 
     def parse_guard(self) -> Guard:
-        return self._parse_or()
+        return self._parse_or()[0]
 
-    def _parse_or(self) -> Guard:
-        left = self._parse_and()
-        while self.accept("or"):
-            left = Or(left, self._parse_and())
-        return left
+    # Each guard parser returns its guard and the guard's height in connectives.
 
-    def _parse_and(self) -> Guard:
-        left = self._parse_not()
-        while self.accept("and"):
-            left = And(left, self._parse_not())
-        return left
+    def _parse_or(self) -> tuple[Guard, int]:
+        return self._parse_chain("or", Or, self._parse_and)
 
-    def _parse_not(self) -> Guard:
+    def _parse_and(self) -> tuple[Guard, int]:
+        return self._parse_chain("and", And, self._parse_not)
+
+    def _parse_chain(
+        self, word: str, node: type[And] | type[Or], operand: Callable[[], tuple[Guard, int]]
+    ) -> tuple[Guard, int]:
+        """A left-nested chain `a word b word c ...`.
+
+        The parser loops over the chain, but every connective puts one more
+        node above the first operand, so it counts toward MAX_NESTING like a
+        `not` or a parenthesis: no guard tree is deeper than the parser allows.
+        """
+        left, height = operand()
+        while tok := self.accept(word):
+            right, right_height = operand()
+            left, height = node(left, right), max(height, right_height) + 1
+            if self.depth + height > MAX_NESTING:
+                raise DslSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok.span)
+        return left, height
+
+    def _parse_not(self) -> tuple[Guard, int]:
         tok = self.accept("not")
-        if tok is None:
-            return self._parse_atom()
-        self.nest(tok)
-        inner = self._parse_not()
-        self.depth -= 1
-        return Not(inner)
+        if tok is not None:
+            self.nest(tok)
+            inner, height = self._parse_not()
+            self.depth -= 1
+            return Not(inner), height + 1
+        tok = self.accept("(")
+        if tok is not None:
+            self.nest(tok)
+            inner, height = self._parse_or()
+            self.expect(")")
+            self.depth -= 1
+            return inner, height
+        return self._parse_atom(), 0
 
     def _parse_atom(self) -> Guard:
         tok = self.peek()
@@ -500,13 +522,6 @@ class _Parser:
             self.expect("=")
             term = self.parse_term()
             return ReplyEq(qname, term, span=self.span_from(tok.span))
-        if tok.kind == "(":
-            self.advance()
-            self.nest(tok)
-            inner = self.parse_guard()
-            self.expect(")")
-            self.depth -= 1
-            return inner
         left = self.parse_term()
         self.expect("=")
         right = self.parse_term()

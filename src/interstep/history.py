@@ -92,6 +92,14 @@ class Query:
         if not self.parts:
             raise HistoryError("a query must have at least one component")
 
+    def __hash__(self) -> int:
+        # hashed on every domain test and issued-set union; compute once
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self.parts)
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def __repr__(self) -> str:
         return format_query(self)
 
@@ -124,6 +132,14 @@ class History:
         expect = _canonical_entries({q: r for q, r, _ in self.entries}, {q: p for q, r, p in self.entries})
         if self.entries != expect:
             raise HistoryError("history rows are not in canonical form; use mk_history")
+
+    def __hash__(self) -> int:
+        # the memo key of every evaluator table; compute once
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self.entries)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def length(self) -> int:

@@ -15,12 +15,23 @@ stay issued for the rest of the step.
 Every complete history counts as final even without a matching final rule
 (completion finality); conformance checking offers a strict mode that flags
 histories whose finality is only implicit.
+
+An `Evaluator`, bound to one description and one state, computes causes,
+issued, the verdict and the update set, and memoizes each per history in
+tables of its own.  The description owns its evaluators
+(`AlgorithmSpec.evaluator`), so the tables are freed with the description;
+no memo lives at module level, and no lookup hashes a whole description.
+The module-level `causes`, `issued`, `pending`, `verdict` and `update_set`
+keep their `(spec, x, xi)` signatures as thin calls into the evaluator, and
+`holds` stays a module-level walk over a guard tree: the commands call these
+names, and the benchmark (`perfbench/tracing.py`) times and counts them by
+name in every module that binds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable
 
 from .errors import EngineError
@@ -32,6 +43,7 @@ from .history import (
     Query,
     format_query,
     initial_segments,
+    prefix,
     query_sort_key,
     restrict_before,
 )
@@ -229,11 +241,27 @@ class AlgorithmSpec:
     def state_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.states)
 
+    @cached_property
+    def _template_by_name(self) -> dict[str, QueryTemplate]:
+        # reversed, so that the first of two same-named templates wins
+        return {t.name: t for t in reversed(self.templates)}
+
     def template(self, qname: str) -> QueryTemplate:
-        for t in self.templates:
-            if t.name == qname:
-                return t
-        raise ModelError(f"no query template named {qname!r}")
+        try:
+            return self._template_by_name[qname]
+        except KeyError:
+            raise ModelError(f"no query template named {qname!r}") from None
+
+    @cached_property
+    def _evaluators(self) -> dict[Structure, Evaluator]:
+        return {}
+
+    def evaluator(self, x: Structure) -> Evaluator:
+        """This description's evaluator at state x; its memo tables live as long as the spec."""
+        ev = self._evaluators.get(x)
+        if ev is None:
+            ev = self._evaluators[x] = Evaluator(self, x)
+        return ev
 
     @property
     def witness_terms(self) -> tuple[Term, ...]:
@@ -271,127 +299,231 @@ def failed(reason: str) -> Verdict:
     return Verdict("fail", reason)
 
 
-# --- Template instantiation ------------------------------------------------------
+# --- Evaluation at one state -------------------------------------------------------
 
 
-def resolve_instance(spec: AlgorithmSpec, x: Structure, xi: History, qname: str, _active: tuple[str, ...] = ()) -> Query | None:
-    """The current instance of a named template, or None if not yet determined."""
-    if qname in _active:
-        raise InstantiationError(f"query template {qname!r} references itself through replies")
-    return instantiate(spec, x, xi, spec.template(qname), _active=_active + (qname,))
+def _reads_replies(template: QueryTemplate) -> bool:
+    return any(
+        isinstance(v, ReplyVar)
+        for part in template.parts
+        if not isinstance(part, Label)
+        for v in term_variables(part)
+    )
 
 
-def instantiate(
-    spec: AlgorithmSpec, x: Structure, xi: History, template: QueryTemplate, _active: tuple[str, ...] = ()
-) -> Query | None:
-    """Evaluate a template against a history; None when a needed reply is missing."""
-    parts: list[Label | Elem] = []
-    for comp in template.parts:
-        if isinstance(comp, Label):
-            parts.append(comp)
-            continue
-        valuation = _reply_valuation(spec, x, xi, comp, _active)
-        if valuation is None:
-            return None
-        parts.append(Elem(eval_term(x, comp, valuation)))
-    return Query(tuple(parts))
+class Evaluator:
+    """The semantics of one machine description at one state, memoized per history.
 
+    A template that reads no reply has one instance under every history and
+    is instantiated once; any other template is resolved once per history.
+    `issued` grows along the history, one phase class at a time.
+    """
 
-def _reply_valuation(
-    spec: AlgorithmSpec, x: Structure, xi: History, term: Term, _active: tuple[str, ...] = ()
-) -> dict[str, str] | None:
-    """Replies for every reply-variable of a term, or None if any is unanswered."""
-    valuation: dict[str, str] = {}
-    for v in term_variables(term):
-        if isinstance(v, Var):
-            raise InstantiationError(f"free variable ${v.name} cannot appear in rule terms")
-        if v.name in valuation:
-            continue
-        inst = resolve_instance(spec, x, xi, v.name, _active)
-        if inst is None or inst not in xi.domain:
-            return None
-        valuation[v.name] = xi.reply(inst)
-    return valuation
+    def __init__(self, spec: AlgorithmSpec, x: Structure):
+        self.spec = spec
+        self.x = x
+        own = (*spec.templates, *(r.template for r in spec.issue_rules))
+        # ids of templates the spec holds, so they stay unique while this evaluator lives
+        self._reply_free = {id(t) for t in own if not _reads_replies(t)}
+        self._fixed: dict[int, Query] = {}
+        self._constants: dict[Term, str] = {}
+        self._instances: dict[tuple[History, str], Query | None] = {}
+        self._causes: dict[History, frozenset[Query]] = {}
+        self._issued: dict[History, frozenset[Query]] = {}
+        self._verdicts: dict[History, Verdict] = {}
+        self._updates: dict[History, frozenset[Update]] = {}
+
+    # --- template instantiation
+
+    def instance(self, xi: History, qname: str, _active: tuple[str, ...] = ()) -> Query | None:
+        """The current instance of a named template, or None if not yet determined."""
+        if qname in _active:
+            raise InstantiationError(f"query template {qname!r} references itself through replies")
+        template = self.spec.template(qname)
+        if id(template) in self._reply_free:
+            return self.instantiate(xi, template)
+        key = (xi, qname)
+        if key not in self._instances:
+            self._instances[key] = self.instantiate(xi, template, _active + (qname,))
+        return self._instances[key]
+
+    def instantiate(self, xi: History, template: QueryTemplate, _active: tuple[str, ...] = ()) -> Query | None:
+        """Evaluate a template against a history; None when a needed reply is missing."""
+        q = self._fixed.get(id(template))
+        if q is not None:
+            return q
+        parts: list[Label | Elem] = []
+        for comp in template.parts:
+            if isinstance(comp, Label):
+                parts.append(comp)
+                continue
+            value = self.value(xi, comp, _active)
+            if value is None:
+                return None
+            parts.append(Elem(value))
+        q = Query(tuple(parts))
+        if id(template) in self._reply_free:
+            self._fixed[id(template)] = q
+        return q
+
+    def _valuation(self, xi: History, term: Term, _active: tuple[str, ...]) -> dict[str, str] | None:
+        """Replies for every reply-variable of a term, or None if any is unanswered."""
+        valuation: dict[str, str] = {}
+        for v in term_variables(term):
+            if isinstance(v, Var):
+                raise InstantiationError(f"free variable ${v.name} cannot appear in rule terms")
+            if v.name in valuation:
+                continue
+            inst = self.instance(xi, v.name, _active)
+            if inst is None or inst not in xi.domain:
+                return None
+            valuation[v.name] = xi.reply(inst)
+        return valuation
+
+    def value(self, xi: History, term: Term, _active: tuple[str, ...] = ()) -> str | None:
+        """A term's value under the history's replies, or None if a reply it reads is missing."""
+        out = self._constants.get(term)
+        if out is None:
+            valuation = self._valuation(xi, term, _active)
+            if valuation is None:
+                return None
+            out = eval_term(self.x, term, valuation)
+            if not valuation:
+                self._constants[term] = out
+        return out
+
+    # --- causality, verdicts, updates
+
+    def causes(self, xi: History) -> frozenset[Query]:
+        out = self._causes.get(xi)
+        if out is None:
+            found: set[Query] = set()
+            for rule in self.spec.issue_rules:
+                if holds(self, xi, rule.guard):
+                    q = self.instantiate(xi, rule.template)
+                    if q is None:
+                        raise InstantiationError(
+                            f"issue rule {rule.name!r} fired but its query mentions an unanswered reply"
+                        )
+                    found.add(q)
+            out = self._causes[xi] = frozenset(found)
+        return out
+
+    def issued(self, xi: History) -> frozenset[Query]:
+        out = self._issued.get(xi)
+        if out is None:
+            out = self.causes(xi)
+            if xi.entries:
+                out = self.issued(prefix(xi, xi.length - 1)) | out
+            self._issued[xi] = out
+        return out
+
+    def pending(self, xi: History) -> frozenset[Query]:
+        return self.issued(xi) - xi.domain
+
+    def matched_final_rules(self, xi: History) -> tuple[FinalRule, ...]:
+        return tuple(r for r in self.spec.final_rules if holds(self, xi, r.guard))
+
+    def verdict(self, xi: History) -> Verdict:
+        out = self._verdicts.get(xi)
+        if out is None:
+            out = self._verdicts[xi] = self._classify(xi)
+        return out
+
+    def _classify(self, xi: History) -> Verdict:
+        matched = self.matched_final_rules(xi)
+        if not matched and self.pending(xi):
+            return NOT_FINAL
+        for rule in matched:
+            if rule.outcome == "fail":
+                return failed(f"rule {rule.name}")
+        loc = detect_clash(self.update_set(xi))
+        if loc is not None:
+            return failed(f"clash at {format_location(loc)}")
+        return SUCCESS
+
+    def update_set(self, xi: History) -> frozenset[Update]:
+        out = self._updates.get(xi)
+        if out is None:
+            found: set[Update] = set()
+            for rule in self.spec.update_rules:
+                if not holds(self, xi, rule.guard):
+                    continue
+                values: list[str] = []
+                for term in (*rule.args, rule.value):
+                    value = self.value(xi, term)
+                    if value is None:
+                        raise InstantiationError(
+                            f"update rule {rule.name!r} fired but mentions an unanswered reply"
+                        )
+                    values.append(value)
+                found.add(Update(Location(rule.symbol, tuple(values[:-1])), values[-1]))
+            out = self._updates[xi] = frozenset(found)
+        return out
 
 
 # --- Guard evaluation -------------------------------------------------------------
 
 
-def holds(spec: AlgorithmSpec, x: Structure, xi: History, guard: Guard) -> bool:
+def holds(ev: Evaluator, xi: History, guard: Guard) -> bool:
     """Whether a history satisfies a guard.
 
     Atoms that need a reply which the history does not provide are false;
     their negations are therefore true, matching the reading "has no reply
     yet" of partial-information conditions.
     """
+    # connectives first: they are most of the nodes of a rule's guard
+    if isinstance(guard, And):
+        return holds(ev, xi, guard.left) and holds(ev, xi, guard.right)
+    if isinstance(guard, Not):
+        return not holds(ev, xi, guard.inner)
+    if isinstance(guard, Or):
+        return holds(ev, xi, guard.left) or holds(ev, xi, guard.right)
+    if isinstance(guard, ReplyEq):
+        inst = ev.instance(xi, guard.qname)
+        reply = None if inst is None else xi.answers.get(inst)
+        if reply is None:
+            return False
+        value = ev.value(xi, guard.term)
+        return value is not None and reply == value
     if isinstance(guard, Start):
         return not xi.entries
     if isinstance(guard, Answered):
-        inst = resolve_instance(spec, x, xi, guard.qname)
+        inst = ev.instance(xi, guard.qname)
         return inst is not None and inst in xi.domain
     if isinstance(guard, Unanswered):
-        inst = resolve_instance(spec, x, xi, guard.qname)
+        inst = ev.instance(xi, guard.qname)
         return inst is None or inst not in xi.domain
-    if isinstance(guard, ReplyEq):
-        inst = resolve_instance(spec, x, xi, guard.qname)
-        if inst is None or inst not in xi.domain:
-            return False
-        valuation = _reply_valuation(spec, x, xi, guard.term)
-        if valuation is None:
-            return False
-        return xi.reply(inst) == eval_term(x, guard.term, valuation)
     if isinstance(guard, (Before, Simultaneous)):
-        a = resolve_instance(spec, x, xi, guard.first)
-        b = resolve_instance(spec, x, xi, guard.second)
+        a = ev.instance(xi, guard.first)
+        b = ev.instance(xi, guard.second)
         if a is None or b is None or a not in xi.domain or b not in xi.domain:
             return False
         pa, pb = xi.phase_of(a), xi.phase_of(b)
         return pa < pb if isinstance(guard, Before) else pa == pb
     if isinstance(guard, TermEq):
-        lv = _reply_valuation(spec, x, xi, guard.left)
-        rv = _reply_valuation(spec, x, xi, guard.right)
-        if lv is None or rv is None:
-            return False
-        return eval_term(x, guard.left, lv) == eval_term(x, guard.right, rv)
-    if isinstance(guard, Not):
-        return not holds(spec, x, xi, guard.inner)
-    if isinstance(guard, And):
-        return holds(spec, x, xi, guard.left) and holds(spec, x, xi, guard.right)
-    if isinstance(guard, Or):
-        return holds(spec, x, xi, guard.left) or holds(spec, x, xi, guard.right)
+        lv = ev.value(xi, guard.left)
+        rv = ev.value(xi, guard.right)
+        return lv is not None and lv == rv
     raise ModelError(f"unknown guard node {guard!r}")
 
 
-# --- Causality, issued, pending ----------------------------------------------------
+# --- The semantics as functions of (spec, state, history) ---------------------------
 
 
-@lru_cache(maxsize=None)
 def causes(spec: AlgorithmSpec, x: Structure, xi: History) -> frozenset[Query]:
     """Queries caused by exactly this history: fired issue rules, instantiated."""
-    out: set[Query] = set()
-    for rule in spec.issue_rules:
-        if holds(spec, x, xi, rule.guard):
-            q = instantiate(spec, x, xi, rule.template)
-            if q is None:
-                raise InstantiationError(
-                    f"issue rule {rule.name!r} fired but its query mentions an unanswered reply"
-                )
-            out.add(q)
-    return frozenset(out)
+    return spec.evaluator(x).causes(xi)
 
 
-@lru_cache(maxsize=None)
 def issued(spec: AlgorithmSpec, x: Structure, xi: History) -> frozenset[Query]:
     """Queries caused by any initial segment of the history."""
-    out: set[Query] = set()
-    for eta in initial_segments(xi):
-        out |= causes(spec, x, eta)
-    return frozenset(out)
+    return spec.evaluator(x).issued(xi)
 
 
 def pending(spec: AlgorithmSpec, x: Structure, xi: History) -> frozenset[Query]:
     """Issued queries that have no reply yet."""
-    return issued(spec, x, xi) - xi.domain
+    return spec.evaluator(x).pending(xi)
 
 
 def is_coherent(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
@@ -404,18 +536,14 @@ def is_complete(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
     return not pending(spec, x, xi)
 
 
-# --- Verdicts, updates, next state ---------------------------------------------------
-
-
 def matched_final_rules(spec: AlgorithmSpec, x: Structure, xi: History) -> tuple[FinalRule, ...]:
-    return tuple(r for r in spec.final_rules if holds(spec, x, xi, r.guard))
+    return spec.evaluator(x).matched_final_rules(xi)
 
 
 def explicitly_final(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
     return bool(matched_final_rules(spec, x, xi))
 
 
-@lru_cache(maxsize=None)
 def verdict(spec: AlgorithmSpec, x: Structure, xi: History) -> Verdict:
     """Classify a history as not final, final-success, or final-fail.
 
@@ -423,16 +551,7 @@ def verdict(spec: AlgorithmSpec, x: Structure, xi: History) -> Verdict:
     history, any firing fail rule or a clash in the update set forces the
     fail verdict; success and fail are exclusive by construction.
     """
-    matched = matched_final_rules(spec, x, xi)
-    if not matched and not is_complete(spec, x, xi):
-        return NOT_FINAL
-    for rule in matched:
-        if rule.outcome == "fail":
-            return failed(f"rule {rule.name}")
-    loc = detect_clash(update_set(spec, x, xi))
-    if loc is not None:
-        return failed(f"clash at {format_location(loc)}")
-    return SUCCESS
+    return spec.evaluator(x).verdict(xi)
 
 
 def is_attainable(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
@@ -442,23 +561,9 @@ def is_attainable(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
     return all(not verdict(spec, x, eta).is_final for eta in initial_segments(xi)[:-1])
 
 
-@lru_cache(maxsize=None)
 def update_set(spec: AlgorithmSpec, x: Structure, xi: History) -> frozenset[Update]:
     """Updates of every fired update rule; trivial updates are retained."""
-    out: set[Update] = set()
-    for rule in spec.update_rules:
-        if not holds(spec, x, xi, rule.guard):
-            continue
-        values: list[str] = []
-        for term in (*rule.args, rule.value):
-            valuation = _reply_valuation(spec, x, xi, term)
-            if valuation is None:
-                raise InstantiationError(
-                    f"update rule {rule.name!r} fired but mentions an unanswered reply"
-                )
-            values.append(eval_term(x, term, valuation))
-        out.add(Update(Location(rule.symbol, tuple(values[:-1])), values[-1]))
-    return frozenset(out)
+    return spec.evaluator(x).update_set(xi)
 
 
 def next_state(spec: AlgorithmSpec, x: Structure, xi: History) -> Structure:

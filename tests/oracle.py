@@ -1,4 +1,4 @@
-"""Brute-force oracles for the analysis tests.
+"""Reference implementations for the tests: brute force and the uncached semantics.
 
 `interstep.analysis.all_bounded_histories` produces *all* phase-partitioned
 answer functions over the query universe inside the bounds, and
@@ -7,6 +7,12 @@ further by the definitions: no proper final prefix, and the old step-a scan
 for a final segment.  They are exponential and exist to cross-check
 `enumerate_attainable` and `check_postulates`.  The generators themselves are
 re-exported, so that the tests take every brute-force name from this module.
+
+`reference_causes`, `reference_issued`, `reference_verdict` and
+`reference_update_set` are the paper's definitions read off the rules
+directly, with no memo: every template is instantiated again at each use,
+and `issued` is the union of `causes` over all initial segments.  They check
+`interstep.model.Evaluator`.
 """
 
 from __future__ import annotations
@@ -19,9 +25,43 @@ from interstep.analysis import (
     query_universe,
     weak_equivalent,
 )
-from interstep.history import History, format_history, history_sort_key, initial_segments
-from interstep.model import AlgorithmSpec, explicitly_final, is_coherent, pending, verdict
-from interstep.structure import Structure
+from interstep.history import Elem, History, Label, Query, format_history, history_sort_key, initial_segments
+from interstep.model import (
+    NOT_FINAL,
+    SUCCESS,
+    And,
+    AlgorithmSpec,
+    Answered,
+    Before,
+    Guard,
+    InstantiationError,
+    ModelError,
+    Not,
+    Or,
+    QueryTemplate,
+    ReplyEq,
+    Simultaneous,
+    Start,
+    TermEq,
+    Unanswered,
+    Verdict,
+    explicitly_final,
+    failed,
+    is_coherent,
+    pending,
+    verdict,
+)
+from interstep.structure import (
+    Location,
+    Structure,
+    Term,
+    Update,
+    Var,
+    detect_clash,
+    eval_term,
+    format_location,
+    term_variables,
+)
 
 __all__ = [
     "agreement_property",
@@ -30,6 +70,10 @@ __all__ = [
     "brute_force_coherent",
     "brute_force_step_a",
     "query_universe",
+    "reference_causes",
+    "reference_issued",
+    "reference_update_set",
+    "reference_verdict",
 ]
 
 
@@ -67,3 +111,136 @@ def brute_force_step_a(spec: AlgorithmSpec, cfg: EnumerationConfig, strict: bool
 def agreement_property(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: EnumerationConfig) -> bool:
     """The full and weak checkers must return the same verdict."""
     return equivalent(spec_a, spec_b, cfg).equivalent == weak_equivalent(spec_a, spec_b, cfg).equivalent
+
+
+# --- The uncached semantics ---------------------------------------------------------
+
+
+def resolve_instance(spec: AlgorithmSpec, x: Structure, xi: History, qname: str, _active: tuple[str, ...] = ()) -> Query | None:
+    """The current instance of a named template, or None if not yet determined."""
+    if qname in _active:
+        raise InstantiationError(f"query template {qname!r} references itself through replies")
+    return instantiate(spec, x, xi, spec.template(qname), _active=_active + (qname,))
+
+
+def instantiate(
+    spec: AlgorithmSpec, x: Structure, xi: History, template: QueryTemplate, _active: tuple[str, ...] = ()
+) -> Query | None:
+    """Evaluate a template against a history; None when a needed reply is missing."""
+    parts: list[Label | Elem] = []
+    for comp in template.parts:
+        if isinstance(comp, Label):
+            parts.append(comp)
+            continue
+        valuation = _reply_valuation(spec, x, xi, comp, _active)
+        if valuation is None:
+            return None
+        parts.append(Elem(eval_term(x, comp, valuation)))
+    return Query(tuple(parts))
+
+
+def _reply_valuation(
+    spec: AlgorithmSpec, x: Structure, xi: History, term: Term, _active: tuple[str, ...] = ()
+) -> dict[str, str] | None:
+    """Replies for every reply-variable of a term, or None if any is unanswered."""
+    valuation: dict[str, str] = {}
+    for v in term_variables(term):
+        if isinstance(v, Var):
+            raise InstantiationError(f"free variable ${v.name} cannot appear in rule terms")
+        if v.name in valuation:
+            continue
+        inst = resolve_instance(spec, x, xi, v.name, _active)
+        if inst is None or inst not in xi.domain:
+            return None
+        valuation[v.name] = xi.reply(inst)
+    return valuation
+
+
+def holds(spec: AlgorithmSpec, x: Structure, xi: History, guard: Guard) -> bool:
+    """Whether a history satisfies a guard; an atom that needs a missing reply is false."""
+    if isinstance(guard, Start):
+        return not xi.entries
+    if isinstance(guard, Answered):
+        inst = resolve_instance(spec, x, xi, guard.qname)
+        return inst is not None and inst in xi.domain
+    if isinstance(guard, Unanswered):
+        inst = resolve_instance(spec, x, xi, guard.qname)
+        return inst is None or inst not in xi.domain
+    if isinstance(guard, ReplyEq):
+        inst = resolve_instance(spec, x, xi, guard.qname)
+        if inst is None or inst not in xi.domain:
+            return False
+        valuation = _reply_valuation(spec, x, xi, guard.term)
+        if valuation is None:
+            return False
+        return xi.reply(inst) == eval_term(x, guard.term, valuation)
+    if isinstance(guard, (Before, Simultaneous)):
+        a = resolve_instance(spec, x, xi, guard.first)
+        b = resolve_instance(spec, x, xi, guard.second)
+        if a is None or b is None or a not in xi.domain or b not in xi.domain:
+            return False
+        pa, pb = xi.phase_of(a), xi.phase_of(b)
+        return pa < pb if isinstance(guard, Before) else pa == pb
+    if isinstance(guard, TermEq):
+        lv = _reply_valuation(spec, x, xi, guard.left)
+        rv = _reply_valuation(spec, x, xi, guard.right)
+        if lv is None or rv is None:
+            return False
+        return eval_term(x, guard.left, lv) == eval_term(x, guard.right, rv)
+    if isinstance(guard, Not):
+        return not holds(spec, x, xi, guard.inner)
+    if isinstance(guard, And):
+        return holds(spec, x, xi, guard.left) and holds(spec, x, xi, guard.right)
+    if isinstance(guard, Or):
+        return holds(spec, x, xi, guard.left) or holds(spec, x, xi, guard.right)
+    raise ModelError(f"unknown guard node {guard!r}")
+
+
+def reference_causes(spec: AlgorithmSpec, x: Structure, xi: History) -> frozenset[Query]:
+    """Queries caused by exactly this history: fired issue rules, instantiated."""
+    out: set[Query] = set()
+    for rule in spec.issue_rules:
+        if holds(spec, x, xi, rule.guard):
+            q = instantiate(spec, x, xi, rule.template)
+            if q is None:
+                raise InstantiationError(f"issue rule {rule.name!r} fired but its query mentions an unanswered reply")
+            out.add(q)
+    return frozenset(out)
+
+
+def reference_issued(spec: AlgorithmSpec, x: Structure, xi: History) -> frozenset[Query]:
+    """Queries caused by any initial segment of the history."""
+    out: set[Query] = set()
+    for eta in initial_segments(xi):
+        out |= reference_causes(spec, x, eta)
+    return frozenset(out)
+
+
+def reference_verdict(spec: AlgorithmSpec, x: Structure, xi: History) -> Verdict:
+    """Final iff a final rule fires or nothing issued is pending; fail rules and clashes fail."""
+    matched = [r for r in spec.final_rules if holds(spec, x, xi, r.guard)]
+    if not matched and reference_issued(spec, x, xi) - xi.domain:
+        return NOT_FINAL
+    for rule in matched:
+        if rule.outcome == "fail":
+            return failed(f"rule {rule.name}")
+    loc = detect_clash(reference_update_set(spec, x, xi))
+    if loc is not None:
+        return failed(f"clash at {format_location(loc)}")
+    return SUCCESS
+
+
+def reference_update_set(spec: AlgorithmSpec, x: Structure, xi: History) -> frozenset[Update]:
+    """Updates of every fired update rule; trivial updates are retained."""
+    out: set[Update] = set()
+    for rule in spec.update_rules:
+        if not holds(spec, x, xi, rule.guard):
+            continue
+        values: list[str] = []
+        for term in (*rule.args, rule.value):
+            valuation = _reply_valuation(spec, x, xi, term)
+            if valuation is None:
+                raise InstantiationError(f"update rule {rule.name!r} fired but mentions an unanswered reply")
+            values.append(eval_term(x, term, valuation))
+        out.add(Update(Location(rule.symbol, tuple(values[:-1])), values[-1]))
+    return frozenset(out)

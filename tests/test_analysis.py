@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -289,3 +291,15 @@ class TestIsoFile:
         for text in ["iso X0 { a -> b }", "iso X0 Y0 a -> b", "iso X0 Y0 { a b }"]:
             with pytest.raises(AnalysisError):
                 parse_iso_file(text)
+
+
+def test_analysed_spec_is_freed():
+    """The memo tables belong to the spec, so nothing keeps an analysed spec alive."""
+    spec = parse_spec((SPECS / "broker.isa").read_text())
+    ref = weakref.ref(spec)
+    enumerate_attainable(spec, spec.state("X0"), SMALL)
+    check_postulates(spec, SMALL)
+    equivalent(spec, spec, SMALL)
+    del spec
+    gc.collect()
+    assert ref() is None

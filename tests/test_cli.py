@@ -83,3 +83,24 @@ def test_deeply_nested_guard_exits_4(tmp_path, capsys):
     path.write_text((SPECS / "broker.isa").read_text().replace("issue ask0: when start", deep))
     assert run_cli("validate", str(path))[0] == 4
     assert "nesting deeper than" in capsys.readouterr().err
+
+
+def write_broker_with_ask0_guard(tmp_path, guard: str) -> str:
+    path = tmp_path / "chain.isa"
+    path.write_text((SPECS / "broker.isa").read_text().replace("issue ask0: when start", f"issue ask0: when {guard}"))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["validate"], ["enumerate", *SMALL], ["check", *SMALL]])
+def test_long_and_chain_exits_4(tmp_path, capsys, command):
+    path = write_broker_with_ask0_guard(tmp_path, " and ".join(["start"] * 3000))
+    assert run_cli(command[0], path, *command[1:])[0] == 4
+    assert "nesting deeper than" in capsys.readouterr().err
+
+
+def test_short_and_chain_validates_and_enumerates(tmp_path):
+    path = write_broker_with_ask0_guard(tmp_path, " and ".join(["start"] * 50))
+    assert run_cli("validate", path)[0] == 0
+    code, out = run_cli("enumerate", path, *SMALL, "--format", "machine")
+    assert code == 0
+    assert out == run_cli("enumerate", BROKER, *SMALL, "--format", "machine")[1]

@@ -156,6 +156,8 @@ NESTED = {
     "not": ("not", lambda n: "not " * n + "start"),
     "parentheses": ("(", lambda n: "(" * n + "start" + ")" * n),
     "applications": ("(", lambda n: "f(" * n + "a" + ")" * n + " = a"),
+    "and-chain": ("and", lambda n: " and ".join(["start"] * (n + 1))),
+    "or-chain": ("or", lambda n: " or ".join(["start"] * (n + 1))),
 }
 
 
@@ -183,6 +185,18 @@ class TestNestingLimit:
         before = text[: span.start]
         # the span is the opener one level past the limit
         assert before[before.rindex("\n") :].count(opener) == MAX_NESTING
+
+    @pytest.mark.parametrize("links, fits", [(9, True), (10, False)])
+    def test_chains_inside_parentheses_count_toward_the_limit(self, links, fits):
+        # 10 groups, each a chain of `links` connectives whose first operand is the next group,
+        # so the outer group, inside one parenthesis, is 10 * links connectives deep
+        guard = "(" * 10 + "start" + (" and start" * links + ")") * 10
+        text = MINIMAL.replace("bounds {", f"final deep: when {guard} succeed\nbounds {{")
+        if fits:
+            parse_spec(text)
+        else:
+            with pytest.raises(DslSyntaxError, match="nesting deeper than"):
+                parse_spec(text)
 
 
 class TestPrint:

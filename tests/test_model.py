@@ -4,7 +4,9 @@ import dataclasses
 
 import pytest
 
-from conftest import h, lq
+from conftest import BROKER_POOL, SPECS, h, lq
+from interstep.analysis import EnumerationConfig, enumerate_attainable
+from interstep.dsl import parse_spec
 from interstep.history import EMPTY_HISTORY, Elem, Label, Query, mk_history
 from interstep.model import (
     Answered,
@@ -19,7 +21,6 @@ from interstep.model import (
     causes,
     check_bounds,
     check_witness,
-    instantiate,
     is_attainable,
     is_coherent,
     is_complete,
@@ -30,6 +31,7 @@ from interstep.model import (
     verdict,
 )
 from interstep.structure import App, ReplyVar, update
+from oracle import reference_causes, reference_issued, reference_update_set, reference_verdict
 
 
 class TestCauses:
@@ -55,20 +57,20 @@ class TestCauses:
 class TestInstantiate:
     def test_label_only_template(self, broker, broker_state):
         t = broker.template("offer0")
-        assert instantiate(broker, broker_state, EMPTY_HISTORY, t) == lq("offer0")
+        assert broker.evaluator(broker_state).instantiate(EMPTY_HISTORY, t) == lq("offer0")
 
     def test_reply_dependent_template(self, broker, broker_state):
         t = QueryTemplate(None, (Label("offer0"), ReplyVar("choose")))
         xi = h(("offer0", "yes", 0), ("offer1", "yes", 0), ("choose", "client1", 1))
-        assert instantiate(broker, broker_state, xi, t) == Query((Label("offer0"), Elem("client1")))
+        assert broker.evaluator(broker_state).instantiate(xi, t) == Query((Label("offer0"), Elem("client1")))
 
     def test_unanswered_reply_blocks_instantiation(self, broker, broker_state):
         t = QueryTemplate(None, (Label("offer0"), ReplyVar("choose")))
-        assert instantiate(broker, broker_state, EMPTY_HISTORY, t) is None
+        assert broker.evaluator(broker_state).instantiate(EMPTY_HISTORY, t) is None
 
     def test_term_component_evaluates_under_state(self, broker, broker_state):
         t = QueryTemplate(None, (App("client0"),))
-        assert instantiate(broker, broker_state, EMPTY_HISTORY, t) == Query((Elem("client0"),))
+        assert broker.evaluator(broker_state).instantiate(EMPTY_HISTORY, t) == Query((Elem("client0"),))
 
 
 class TestIssuedPending:
@@ -278,3 +280,55 @@ class TestCheckWitness:
         xi = mk_history({Query((Elem("ghost"),)): "yes"}, {Query((Elem("ghost"),)): 0})
         with pytest.raises(IncompatibleHistory):
             check_witness(broker, broker_state, broker_state, xi)
+
+
+def broker_with_confirm(confirm: str):
+    """broker.isa plus a `confirm` query issued after a tie-break, with parts `confirm`.
+
+    With `(confirm reply(choose))` its instance names the chosen client, so the
+    template, a rule template and the final rules that read its reply depend on
+    the history.
+    """
+    text = (SPECS / "broker.isa").read_text()
+    for old, new in (
+        ("labels { choose offer0 offer1 timeout }", "labels { choose confirm offer0 offer1 timeout }"),
+        ("query choose = (choose)\n", f"query choose = (choose)\nquery confirm = {confirm}\n"),
+        ("issue tie:", f"issue conf: when answered(choose) emit {confirm}\nissue tie:"),
+        (
+            "final sale_choice: when answered(choose) succeed",
+            "final sale_choice: when reply(confirm) = yes() succeed\nfinal refused: when reply(confirm) = no() fail",
+        ),
+        ("max_query_len 1", "max_query_len 2"),
+        ("max_issued 5", "max_issued 6"),
+    ):
+        assert old in text
+        text = text.replace(old, new)
+    return parse_spec(text)
+
+
+class TestEvaluatorMatchesReference:
+    @pytest.mark.parametrize("name", ["broker", "broker_preferred", "broker_sym", "broker_confirm"])
+    def test_every_attainable_history(self, request, name):
+        if name == "broker_confirm":
+            spec = broker_with_confirm("(confirm reply(choose))")
+        else:
+            spec = request.getfixturevalue(name)
+        cfg = EnumerationConfig(reply_pool=BROKER_POOL)
+        for sdef in spec.states:
+            x = sdef.structure
+            histories = enumerate_attainable(spec, x, cfg).histories
+            assert len(histories) > 700
+            for xi in histories:
+                assert causes(spec, x, xi) == reference_causes(spec, x, xi)
+                assert issued(spec, x, xi) == reference_issued(spec, x, xi)
+                assert verdict(spec, x, xi) == reference_verdict(spec, x, xi)
+                assert update_set(spec, x, xi) == reference_update_set(spec, x, xi)
+
+    def test_self_referencing_template_raises(self):
+        spec = broker_with_confirm("(confirm reply(confirm))")
+        x = spec.state("X0")
+        tie = h(("offer0", "yes", 0), ("offer1", "yes", 0), ("choose", "client0", 1))
+        for semantics in (causes, verdict, reference_causes, reference_verdict):
+            with pytest.raises(InstantiationError, match="references itself"):
+                semantics(spec, x, tie)
+        assert causes(spec, x, EMPTY_HISTORY) == reference_causes(spec, x, EMPTY_HISTORY)
