@@ -9,6 +9,7 @@ tooling.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -30,6 +31,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Built on the first dispatch, not at import, and reused by later ones:
+# parse_args returns a fresh Namespace per call.
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="interstep", description="Execute and analyze interactive step machines.")
     sub = p.add_subparsers(dest="command", required=True)
@@ -247,9 +251,8 @@ _COMMANDS = {
 
 def dispatch(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args, out)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -31,15 +31,24 @@ Precedence is not > and > or, left-associative.  `start` holds exactly of the
 empty history.  `not`, `and`, `or` are reserved in guard position, so terms
 in source cannot apply the logic connectives (build such terms via the API;
 `Boole` and `eq` remain spellable).  `reply(q) = t` always parses as the
-reply-comparison atom.  Identifiers are ASCII alphanumeric plus underscore.
-`not`, parenthesized guards and term arguments nest at most MAX_NESTING deep,
-and each `and`/`or` of a chain counts as one more level.
+reply-comparison atom.  `not`, parenthesized guards and term arguments nest
+at most MAX_NESTING deep, and each `and`/`or` of a chain counts as one more
+level.  A state whose base would give one symbol's table more than MAX_TABLE
+entries (|base|^arity) is rejected at the symbol's declaration.
+
+Lexer: tokens are ASCII.  NAME is `[A-Za-z_][A-Za-z0-9_]*` and NAT is
+`[0-9]+`: numerals are ASCII digits only, so `²` or `٣` is an unexpected
+character, and a word with non-ASCII letters or digits is rejected whole.
+Only comments may hold other characters.  One compiled regex matches a gap
+(blanks and comments) and the token after it, position by position; tokens
+keep plain int positions and build their Span only when it is read.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .errors import EngineError
 from .history import Label
@@ -114,105 +123,126 @@ _KEYWORDS = {
     "simultaneous", "bounds", "witness", "static", "dynamic", "relational",
 }
 
-@dataclass(frozen=True)
+# Each match is one gap (blanks and `#` comments) and the token after it:
+# group 1 punctuation, 2 a numeral, 3 a word.  The token is optional, so a
+# match that captures none ends where the text ends or no token can start.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+    r"(?:(->|:=|[{}():;,=/@$])|([0-9]+)|([A-Za-z_][A-Za-z0-9_]*))?"
+)
+
+
 class Token:
-    kind: str  # keyword text, punct text, "IDENT", "NAT", "EOF"
-    text: str
-    span: Span
+    """A token with its position as plain ints; `span` builds the Span on demand."""
+
+    __slots__ = ("kind", "text", "line", "column", "start", "end")
+
+    def __init__(self, kind: str, text: str, line: int, column: int, start: int, end: int):
+        self.kind = kind  # keyword text, punct text, "IDENT", "NAT", "EOF"
+        self.text = text
+        self.line = line
+        self.column = column
+        self.start = start  # byte offsets, as in Span
+        self.end = end
+
+    @property
+    def span(self) -> Span:
+        return Span(self.line, self.column, self.start, self.end)
 
 
 def tokenize(text: str) -> list[Token]:
+    """Split text into tokens; each carries its line, column and byte offsets.
+
+    Tokens are ASCII, so only the gaps between them (comments) can hold
+    other characters: line and column come from the newlines in the gaps,
+    and the byte offset is the character offset plus the extra UTF-8 bytes
+    of the gaps so far.
+    """
     tokens: list[Token] = []
-    i = 0
+    match = _TOKEN.match
+    ascii_text = text.isascii()
+    pos = 0  # character offset where the next gap starts
     line = 1
-    col = 1
-    byte = 0
-    n = len(text)
-
-    def bump(ch: str) -> None:
-        nonlocal line, col, byte
-        byte += len(ch.encode("utf-8"))
-        if ch == "\n":
-            line += 1
-            col = 1
-        else:
-            col += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            bump(ch)
-            i += 1
-            continue
-        if ch == "#":
-            # comment to end of line; element markers appear only in history
-            # literals, which have their own parser
-            while i < n and text[i] != "\n":
-                bump(text[i])
-                i += 1
-            continue
-        start_line, start_col, start_byte = line, col, byte
-        two = text[i : i + 2]
-        if two in ("->", ":="):
-            for c in two:
-                bump(c)
-            i += 2
-            tokens.append(Token(two, two, Span(start_line, start_col, start_byte, byte)))
-            continue
-        if ch in "{}():;,=/@$":
-            bump(ch)
-            i += 1
-            tokens.append(Token(ch, ch, Span(start_line, start_col, start_byte, byte)))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            word = text[i:j]
-            for c in word:
-                bump(c)
-            i = j
-            tokens.append(Token("NAT", word, Span(start_line, start_col, start_byte, byte)))
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if not word.isascii():
-                raise DslSyntaxError(
-                    f"identifier {word!r} contains non-ASCII characters",
-                    Span(start_line, start_col, start_byte, start_byte + len(word.encode("utf-8"))),
-                )
-            for c in word:
-                bump(c)
-            i = j
+    line_start = 0  # character offset of the current line's first character
+    shift = 0  # byte offset minus character offset
+    while True:
+        m = match(text, pos)
+        group = m.lastindex
+        at = m.start(group) if group else m.end()
+        newlines = text.count("\n", pos, at)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", pos, at) + 1
+        if not ascii_text:
+            gap = text[pos:at]
+            shift += len(gap.encode("utf-8")) - len(gap)
+        if group is None:
+            break
+        word = m.group(group)
+        pos = m.end()
+        if group == 3:
+            if not ascii_text and pos < len(text) and text[pos].isalnum():
+                _non_ascii_word(text, at, line, at - line_start + 1, at + shift)
             kind = word if word in _KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, Span(start_line, start_col, start_byte, byte)))
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", Span(line, col, byte, byte + len(ch.encode("utf-8"))))
-    tokens.append(Token("EOF", "", Span(line, col, byte, byte)))
+        else:
+            kind = "NAT" if group == 2 else word
+        tokens.append(Token(kind, word, line, at - line_start + 1, at + shift, pos + shift))
+    column, byte = at - line_start + 1, at + shift
+    if at < len(text):
+        ch = text[at]
+        if ch.isalpha():
+            _non_ascii_word(text, at, line, column, byte)
+        raise DslSyntaxError(f"unexpected character {ch!r}", Span(line, column, byte, byte + len(ch.encode("utf-8"))))
+    tokens.append(Token("EOF", "", line, column, byte, byte))
     return tokens
+
+
+def _non_ascii_word(text: str, i: int, line: int, column: int, byte: int) -> NoReturn:
+    """Reject the word of letters, digits and underscores at text[i:]; it is not ASCII."""
+    j = i + 1
+    while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+        j += 1
+    word = text[i:j]
+    raise DslSyntaxError(
+        f"identifier {word!r} contains non-ASCII characters", Span(line, column, byte, byte + len(word.encode("utf-8")))
+    )
 
 
 # --- Parser ---------------------------------------------------------------------
 
 MAX_NESTING = 100
+MAX_TABLE = 100_000  # entries of one symbol's table in one state
+
+
+def _table_exceeds(n: int, arity: int) -> bool:
+    """Whether n^arity > MAX_TABLE, without computing a huge power.
+
+    A base of one element counts as two, so that the arity alone is bounded too.
+    """
+    size = 1
+    for _ in range(arity):
+        size *= max(n, 2)
+        if size > MAX_TABLE:
+            return True
+    return False
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = tokenize(text)
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
         self.pos = 0
         self.labels: set[str] = set()
         self.vocab: Vocabulary | None = None
         self.template_names: set[str] = set()
+        self.decl_spans: dict[str, Span] = {}
         self.depth = 0
 
     # token plumbing
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        if ahead:
+            return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos]  # pos never passes the final EOF token
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -221,7 +251,7 @@ class _Parser:
         return tok
 
     def at(self, *kinds: str) -> bool:
-        return self.peek().kind in kinds
+        return self.tokens[self.pos].kind in kinds
 
     def accept(self, kind: str) -> Token | None:
         if self.at(kind):
@@ -247,14 +277,40 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise DslSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok.span)
 
-    def span_from(self, start: Span) -> Span:
-        end = self.tokens[self.pos - 1].span if self.pos else start
-        return Span(start.line, start.column, start.start, end.end)
+    def span_from(self, first: Token) -> Span:
+        """The span from token first to the last token consumed."""
+        end = self.tokens[self.pos - 1].end if self.pos else first.end
+        return Span(first.line, first.column, first.start, end)
+
+    def nat(self) -> int:
+        tok = self.expect("NAT")
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() converts
+            raise DslSyntaxError(f"numeral of {len(tok.text)} digits is too large", tok.span) from None
+
+    def check_table_sizes(self, state: str, n: int, base_span: Span) -> None:
+        """Reject a symbol whose table over this state's n elements would exceed MAX_TABLE.
+
+        The table has n^arity entries, built in full when the state is made.
+        The binary logic tables (eq, and, or) have n^2, charged to the base line.
+        """
+        for decl in self.vocab.user_symbols:
+            if _table_exceeds(n, decl.arity):
+                raise DslSyntaxError(
+                    f"symbol {decl.name!r} of arity {decl.arity} needs {n}^{decl.arity} table entries "
+                    f"in state {state!r}, more than {MAX_TABLE}",
+                    self.decl_spans[decl.name],
+                )
+        if _table_exceeds(n, 2):
+            raise DslSyntaxError(
+                f"a base of {n} elements needs {n}^2 entries per logic table, more than {MAX_TABLE}", base_span
+            )
 
     # sections
 
     def parse_spec(self) -> AlgorithmSpec:
-        start = self.peek().span
+        start = self.peek()
         self.expect("algorithm")
         name = self.ident("algorithm name").text
         vocab = self.parse_vocabulary()
@@ -286,7 +342,6 @@ class _Parser:
         self.expect("vocabulary")
         self.expect("{")
         decls: list[SymbolDecl] = []
-        seen: set[str] = set()
         while not self.at("}"):
             flag = self.expect("static", "dynamic", "relational")
             static = flag.kind == "static"
@@ -295,12 +350,12 @@ class _Parser:
                 relational = True
             name_tok = self.ident("symbol name")
             self.expect("/")
-            arity = int(self.expect("NAT").text)
+            arity = self.nat()
             if name_tok.text in LOGIC_NAMES:
                 raise DslNameError(f"symbol {name_tok.text!r} is a reserved logic name", name_tok.span)
-            if name_tok.text in seen:
+            if name_tok.text in self.decl_spans:
                 raise DslNameError(f"symbol {name_tok.text!r} declared twice", name_tok.span)
-            seen.add(name_tok.text)
+            self.decl_spans[name_tok.text] = self.span_from(flag)
             decls.append(SymbolDecl(name_tok.text, arity, static=static, relational=relational))
         self.expect("}")
         return Vocabulary.make(decls)
@@ -325,7 +380,7 @@ class _Parser:
         if not self.at("state"):
             self.expect("state")
         while self.at("state"):
-            start = self.peek().span
+            start = self.peek()
             self.advance()
             name_tok = self.ident("state name")
             if any(s.name == name_tok.text for s in states):
@@ -337,6 +392,7 @@ class _Parser:
                 base.append(self.advance().text)
             if not base:
                 raise DslSyntaxError("base line lists no elements", base_kw.span, expected=("IDENT",))
+            self.check_table_sizes(name_tok.text, len(set(base)), self.span_from(base_kw))
             interp: dict[str, dict[tuple[str, ...], str]] = {}
             while self.at("interp"):
                 self.advance()
@@ -380,7 +436,7 @@ class _Parser:
     def parse_queries(self) -> list[QueryTemplate]:
         templates: list[QueryTemplate] = []
         while self.at("query"):
-            start = self.peek().span
+            start = self.peek()
             self.advance()
             name_tok = self.ident("query template name")
             if name_tok.text in self.template_names:
@@ -504,7 +560,7 @@ class _Parser:
             qname = self._template_ref()
             close = self.expect(")")
             node = Answered if tok.kind == "answered" else Unanswered
-            return node(qname, span=Span(tok.span.line, tok.span.column, tok.span.start, close.span.end))
+            return node(qname, span=Span(tok.line, tok.column, tok.start, close.end))
         if tok.kind in ("before", "simultaneous"):
             self.advance()
             self.expect("(")
@@ -513,7 +569,7 @@ class _Parser:
             second = self._template_ref()
             close = self.expect(")")
             node = Before if tok.kind == "before" else Simultaneous
-            return node(first, second, span=Span(tok.span.line, tok.span.column, tok.span.start, close.span.end))
+            return node(first, second, span=Span(tok.line, tok.column, tok.start, close.end))
         if tok.kind == "reply":
             self.advance()
             self.expect("(")
@@ -521,11 +577,11 @@ class _Parser:
             self.expect(")")
             self.expect("=")
             term = self.parse_term()
-            return ReplyEq(qname, term, span=self.span_from(tok.span))
+            return ReplyEq(qname, term, span=self.span_from(tok))
         left = self.parse_term()
         self.expect("=")
         right = self.parse_term()
-        return TermEq(left, right, span=self.span_from(tok.span))
+        return TermEq(left, right, span=self.span_from(tok))
 
     # rules
 
@@ -542,10 +598,10 @@ class _Parser:
             if kw.kind == "issue":
                 self.expect("emit")
                 parts = self.parse_qtuple()
-                issue_rules.append(IssueRule(name, guard, QueryTemplate(None, parts), self.span_from(kw.span)))
+                issue_rules.append(IssueRule(name, guard, QueryTemplate(None, parts), self.span_from(kw)))
             elif kw.kind == "final":
                 out = self.expect("succeed", "fail")
-                final_rules.append(FinalRule(name, guard, out.kind, self.span_from(kw.span)))
+                final_rules.append(FinalRule(name, guard, out.kind, self.span_from(kw)))
             else:
                 sym_tok = self.ident("dynamic symbol")
                 if sym_tok.text not in self.vocab:
@@ -566,22 +622,22 @@ class _Parser:
                 self.expect(":=")
                 value = self.parse_term()
                 update_rules.append(
-                    UpdateRule(name, guard, sym_tok.text, tuple(args), value, self.span_from(kw.span))
+                    UpdateRule(name, guard, sym_tok.text, tuple(args), value, self.span_from(kw))
                 )
         return issue_rules, final_rules, update_rules
 
     def parse_bounds(self) -> Bounds:
-        start = self.peek().span
+        start = self.peek()
         self.expect("bounds")
         self.expect("{")
         key1 = self.ident("max_query_len")
         if key1.text != "max_query_len":
             raise DslSyntaxError("expected 'max_query_len'", key1.span, expected=("max_query_len",))
-        max_query_len = int(self.expect("NAT").text)
+        max_query_len = self.nat()
         key2 = self.ident("max_issued")
         if key2.text != "max_issued":
             raise DslSyntaxError("expected 'max_issued'", key2.span, expected=("max_issued",))
-        max_issued = int(self.expect("NAT").text)
+        max_issued = self.nat()
         self.expect("}")
         return Bounds(max_query_len, max_issued, self.span_from(start))
 
@@ -590,10 +646,10 @@ class _Parser:
         self.expect("{")
         terms: list[WitnessDecl] = []
         if not self.at("}"):
-            start = self.peek().span
+            start = self.peek()
             terms.append(WitnessDecl(self.parse_term(), self.span_from(start)))
             while self.accept(";"):
-                start = self.peek().span
+                start = self.peek()
                 terms.append(WitnessDecl(self.parse_term(), self.span_from(start)))
         self.expect("}")
         return terms
@@ -601,7 +657,7 @@ class _Parser:
 
 def parse_spec(text: str) -> AlgorithmSpec:
     """Parse a machine description; raises Dsl*Error with a source span."""
-    return _Parser(text).parse_spec()
+    return _Parser(tokenize(text)).parse_spec()
 
 
 # --- Printer --------------------------------------------------------------------

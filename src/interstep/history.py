@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NoReturn
 
 from .errors import EngineError
 
@@ -100,12 +100,17 @@ class Query:
             object.__setattr__(self, "_hash", h)
         return h
 
+    @cached_property
+    def sort_key(self) -> tuple:
+        # read by every History's canonical-form check; compute once
+        return tuple(component_key(c) for c in self.parts)
+
     def __repr__(self) -> str:
         return format_query(self)
 
 
 def query_sort_key(q: Query) -> tuple:
-    return tuple(component_key(c) for c in q.parts)
+    return q.sort_key
 
 
 def format_query(q: Query) -> str:
@@ -126,12 +131,24 @@ class History:
     entries: tuple[tuple[Query, str, int], ...] = ()
 
     def __post_init__(self) -> None:
+        # Canonical form in one pass: phases run 0, 1, ... without a gap, rows
+        # strictly increase in (phase, query_sort_key), and no query repeats.
+        phase, last = 0, None
+        for q, _, p in self.entries:
+            key = q.sort_key
+            if p == phase + 1 and last is not None:
+                phase = p
+            elif p != phase or (last is not None and key <= last):
+                self._reject()
+            last = key
+        if len({q for q, _, _ in self.entries}) != len(self.entries):
+            self._reject()
+
+    def _reject(self) -> NoReturn:
         phases = sorted({p for _, _, p in self.entries})
         if phases != list(range(len(phases))):
             raise HistoryError(f"phase image {phases} is not contiguous from 0; use mk_history")
-        expect = _canonical_entries({q: r for q, r, _ in self.entries}, {q: p for q, r, p in self.entries})
-        if self.entries != expect:
-            raise HistoryError("history rows are not in canonical form; use mk_history")
+        raise HistoryError("history rows are not in canonical form; use mk_history")
 
     def __hash__(self) -> int:
         # the memo key of every evaluator table; compute once
@@ -347,7 +364,7 @@ def parse_history(text: str) -> History:
         reply_text, _, phase_text = rest.partition("@")
         reply = _check_ident(reply_text.strip(), "reply", text)
         phase_text = phase_text.strip()
-        if not phase_text.isdigit():
+        if not (phase_text.isascii() and phase_text.isdigit()):
             raise LiteralSyntaxError(f"phase {phase_text!r} is not a natural number in {text!r}")
         if q in answers:
             raise LiteralSyntaxError(f"{format_query(q)} appears twice in {text!r}")

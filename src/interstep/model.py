@@ -247,10 +247,7 @@ class AlgorithmSpec:
         return {t.name: t for t in reversed(self.templates)}
 
     def template(self, qname: str) -> QueryTemplate:
-        try:
-            return self._template_by_name[qname]
-        except KeyError:
-            raise ModelError(f"no query template named {qname!r}") from None
+        return _named_template(self._template_by_name, qname)
 
     @cached_property
     def _evaluators(self) -> dict[Structure, Evaluator]:
@@ -311,6 +308,13 @@ def _reads_replies(template: QueryTemplate) -> bool:
     )
 
 
+def _named_template(by_name: dict[str, QueryTemplate], qname: str) -> QueryTemplate:
+    try:
+        return by_name[qname]
+    except KeyError:
+        raise ModelError(f"no query template named {qname!r}") from None
+
+
 class Evaluator:
     """The semantics of one machine description at one state, memoized per history.
 
@@ -320,11 +324,17 @@ class Evaluator:
     """
 
     def __init__(self, spec: AlgorithmSpec, x: Structure):
-        self.spec = spec
+        # The parts of the spec it reads, not the spec itself: the spec holds
+        # its evaluators, and a reference back would make a cycle that keeps
+        # both alive until the cyclic garbage collector runs.
+        self._template_by_name = spec._template_by_name
+        self.issue_rules = spec.issue_rules
+        self.final_rules = spec.final_rules
+        self.update_rules = spec.update_rules
         self.x = x
-        own = (*spec.templates, *(r.template for r in spec.issue_rules))
-        # ids of templates the spec holds, so they stay unique while this evaluator lives
-        self._reply_free = {id(t) for t in own if not _reads_replies(t)}
+        self._own = (*spec.templates, *(r.template for r in spec.issue_rules))
+        # ids of templates held in _own, so they stay unique while this evaluator lives
+        self._reply_free = {id(t) for t in self._own if not _reads_replies(t)}
         self._fixed: dict[int, Query] = {}
         self._constants: dict[Term, str] = {}
         self._instances: dict[tuple[History, str], Query | None] = {}
@@ -339,7 +349,7 @@ class Evaluator:
         """The current instance of a named template, or None if not yet determined."""
         if qname in _active:
             raise InstantiationError(f"query template {qname!r} references itself through replies")
-        template = self.spec.template(qname)
+        template = _named_template(self._template_by_name, qname)
         if id(template) in self._reply_free:
             return self.instantiate(xi, template)
         key = (xi, qname)
@@ -398,7 +408,7 @@ class Evaluator:
         out = self._causes.get(xi)
         if out is None:
             found: set[Query] = set()
-            for rule in self.spec.issue_rules:
+            for rule in self.issue_rules:
                 if holds(self, xi, rule.guard):
                     q = self.instantiate(xi, rule.template)
                     if q is None:
@@ -422,7 +432,7 @@ class Evaluator:
         return self.issued(xi) - xi.domain
 
     def matched_final_rules(self, xi: History) -> tuple[FinalRule, ...]:
-        return tuple(r for r in self.spec.final_rules if holds(self, xi, r.guard))
+        return tuple(r for r in self.final_rules if holds(self, xi, r.guard))
 
     def verdict(self, xi: History) -> Verdict:
         out = self._verdicts.get(xi)
@@ -446,7 +456,7 @@ class Evaluator:
         out = self._updates.get(xi)
         if out is None:
             found: set[Update] = set()
-            for rule in self.spec.update_rules:
+            for rule in self.update_rules:
                 if not holds(self, xi, rule.guard):
                     continue
                 values: list[str] = []

@@ -549,7 +549,7 @@ def parse_structure(text: str) -> Structure:
             if len(rest) != 1 or "/" not in rest[0]:
                 raise StructureError(f"line {lineno}: expected 'name/arity' in symbol declaration")
             name, _, arity_text = rest[0].partition("/")
-            if not arity_text.isdigit():
+            if not (arity_text.isascii() and arity_text.isdigit()):
                 raise StructureError(f"line {lineno}: arity {arity_text!r} is not a natural number")
             decls.append(SymbolDecl(_ident(name, lineno), int(arity_text), static=static, relational=relational))
         elif words[0] == "interp":

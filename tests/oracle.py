@@ -13,9 +13,16 @@ re-exported, so that the tests take every brute-force name from this module.
 directly, with no memo: every template is instantiated again at each use,
 and `issued` is the union of `causes` over all initial segments.  They check
 `interstep.model.Evaluator`.
+
+`reference_tokenize` is the character-by-character lexer the regex lexer of
+`interstep.dsl` replaced, kept unchanged with its frozen `ReferenceToken`
+(it read `str.isdigit`, so it took non-ASCII digits for a numeral; the regex
+lexer rejects them).  `reference_parse_spec` runs the parser on its tokens.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from interstep.analysis import (
     EnumerationConfig,
@@ -25,6 +32,7 @@ from interstep.analysis import (
     query_universe,
     weak_equivalent,
 )
+from interstep.dsl import _KEYWORDS, DslSyntaxError, Token, _Parser
 from interstep.history import Elem, History, Label, Query, format_history, history_sort_key, initial_segments
 from interstep.model import (
     NOT_FINAL,
@@ -51,6 +59,7 @@ from interstep.model import (
     pending,
     verdict,
 )
+from interstep.spans import Span
 from interstep.structure import (
     Location,
     Structure,
@@ -72,6 +81,8 @@ __all__ = [
     "query_universe",
     "reference_causes",
     "reference_issued",
+    "reference_parse_spec",
+    "reference_tokenize",
     "reference_update_set",
     "reference_verdict",
 ]
@@ -244,3 +255,90 @@ def reference_update_set(spec: AlgorithmSpec, x: Structure, xi: History) -> froz
             values.append(eval_term(x, term, valuation))
         out.add(Update(Location(rule.symbol, tuple(values[:-1])), values[-1]))
     return frozenset(out)
+
+
+@dataclass(frozen=True)
+class ReferenceToken:
+    kind: str  # keyword text, punct text, "IDENT", "NAT", "EOF"
+    text: str
+    span: Span
+
+
+def reference_tokenize(text: str) -> list[ReferenceToken]:
+    tokens: list[ReferenceToken] = []
+    i = 0
+    line = 1
+    col = 1
+    byte = 0
+    n = len(text)
+
+    def bump(ch: str) -> None:
+        nonlocal line, col, byte
+        byte += len(ch.encode("utf-8"))
+        if ch == "\n":
+            line += 1
+            col = 1
+        else:
+            col += 1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            bump(ch)
+            i += 1
+            continue
+        if ch == "#":
+            # comment to end of line; element markers appear only in history
+            # literals, which have their own parser
+            while i < n and text[i] != "\n":
+                bump(text[i])
+                i += 1
+            continue
+        start_line, start_col, start_byte = line, col, byte
+        two = text[i : i + 2]
+        if two in ("->", ":="):
+            for c in two:
+                bump(c)
+            i += 2
+            tokens.append(ReferenceToken(two, two, Span(start_line, start_col, start_byte, byte)))
+            continue
+        if ch in "{}():;,=/@$":
+            bump(ch)
+            i += 1
+            tokens.append(ReferenceToken(ch, ch, Span(start_line, start_col, start_byte, byte)))
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            word = text[i:j]
+            for c in word:
+                bump(c)
+            i = j
+            tokens.append(ReferenceToken("NAT", word, Span(start_line, start_col, start_byte, byte)))
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            if not word.isascii():
+                raise DslSyntaxError(
+                    f"identifier {word!r} contains non-ASCII characters",
+                    Span(start_line, start_col, start_byte, start_byte + len(word.encode("utf-8"))),
+                )
+            for c in word:
+                bump(c)
+            i = j
+            kind = word if word in _KEYWORDS else "IDENT"
+            tokens.append(ReferenceToken(kind, word, Span(start_line, start_col, start_byte, byte)))
+            continue
+        raise DslSyntaxError(f"unexpected character {ch!r}", Span(line, col, byte, byte + len(ch.encode("utf-8"))))
+    tokens.append(ReferenceToken("EOF", "", Span(line, col, byte, byte)))
+    return tokens
+
+
+def reference_parse_spec(text: str) -> AlgorithmSpec:
+    """parse_spec on the reference lexer's tokens."""
+    tokens = [Token(t.kind, t.text, t.span.line, t.span.column, t.span.start, t.span.end) for t in reference_tokenize(text)]
+    return _Parser(tokens).parse_spec()

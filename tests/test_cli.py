@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -104,3 +108,59 @@ def test_short_and_chain_validates_and_enumerates(tmp_path):
     code, out = run_cli("enumerate", path, *SMALL, "--format", "machine")
     assert code == 0
     assert out == run_cli("enumerate", BROKER, *SMALL, "--format", "machine")[1]
+
+
+def write_broker_with_owner_arity(tmp_path, arity: str) -> str:
+    path = tmp_path / "owner.isa"
+    path.write_text((SPECS / "broker.isa").read_text().replace("dynamic owner/0", f"dynamic owner/{arity}"))
+    return str(path)
+
+
+@pytest.mark.parametrize("digit", ["²", "٣"])
+def test_non_ascii_digit_exits_4(tmp_path, capsys, digit):
+    path = write_broker_with_owner_arity(tmp_path, digit)
+    assert run_cli("validate", path)[0] == 4
+    assert f"13:17: unexpected character {digit!r}" in capsys.readouterr().err
+
+
+def test_huge_arity_exits_4_without_building_the_table(tmp_path, capsys):
+    path = write_broker_with_owner_arity(tmp_path, "30")
+    start = time.perf_counter()
+    assert run_cli("validate", path)[0] == 4
+    assert time.perf_counter() - start < 0.5  # 8^30 entries would not fit in memory
+    assert "13:3: symbol 'owner' of arity 30 needs 8^30 table entries" in capsys.readouterr().err
+
+
+def reuse_sequence(tmp_path) -> list[list[str]]:
+    no_finals = write_broker_without_final_rules(tmp_path)
+    return [
+        ["validate", BROKER, "--format", "machine"],
+        ["validate", BROKER, "--jobs", "2"],  # usage error
+        ["check", "--strict", no_finals, *SMALL],  # exit 3
+        ["check", no_finals, *SMALL],  # exit 0: --strict must not carry over
+        ["validate", "--strict", no_finals],
+        ["validate", no_finals],
+        ["check", str(SPECS / "broker_sym.isa"), "--iso", str(SPECS / "swap.iso"), *SMALL],
+        ["step", BROKER, "--script", str(SCRIPTS / "tie.env")],
+        ["run", BROKER, "--script", str(SCRIPTS / "yes0.env"), "--steps", "2", "--format", "machine"],
+        ["enumerate", BROKER, *SMALL],
+        ["equiv", BROKER, str(SPECS / "broker_preferred.isa"), "--weak", *SMALL],
+        ["equiv", BROKER, str(SPECS / "broker_preferred.isa"), *SMALL, "--format", "machine"],
+        ["validate"],  # usage error: no spec
+    ]
+
+
+FRESH = "import sys\nfrom interstep.cli import dispatch\nsys.exit(dispatch(sys.argv[1:]))"
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
+    # the argparse parser is built once per process; no call may see an earlier one's options
+    env = {**os.environ, "PYTHONPATH": str(SPECS.parent / "src")}
+    codes = []
+    for argv in reuse_sequence(tmp_path):
+        code, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        fresh = subprocess.run([sys.executable, "-c", FRESH, *argv], capture_output=True, text=True, env=env)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 4, 3, 0, 0, 0, 0, 0, 0, 0, 1, 1, 4]

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 
 from conftest import SPECS
+from interstep import dsl
 from interstep.dsl import (
     MAX_NESTING,
+    MAX_TABLE,
     DslArityError,
     DslNameError,
     DslSyntaxError,
@@ -99,6 +102,69 @@ class TestParse:
     def test_non_ascii_identifier_rejected(self):
         with pytest.raises(DslSyntaxError):
             parse_spec(MINIMAL.replace("algorithm idle", "algorithm idlé"))
+
+    @pytest.mark.parametrize("digit", ["²", "٣"])
+    def test_non_ascii_digit_is_a_spanned_syntax_error(self, digit):
+        # numerals are ASCII: str.isdigit would take both for a numeral
+        text = MINIMAL.replace("vocabulary { }", f"vocabulary {{ dynamic owner/{digit} }}")
+        with pytest.raises(DslSyntaxError, match=f"unexpected character {digit!r}") as err:
+            parse_spec(text)
+        span = err.value.span
+        assert text.encode()[span.start : span.end].decode() == digit
+        assert (span.line, span.column) == (4, text.splitlines()[3].index(digit) + 1)
+
+    def test_non_ascii_comment_keeps_byte_offsets(self):
+        text = "# Übersicht — ein Makler\n" + MINIMAL.replace("algorithm idle", "algorithm idle  # ✓")
+        text = text.replace("labels { }", "labels { ghost% }")
+        with pytest.raises(DslSyntaxError, match="unexpected character '%'") as err:
+            parse_spec(text)
+        span = err.value.span
+        assert text.encode()[span.start : span.end] == b"%"
+        assert text.splitlines()[span.line - 1][span.column - 1] == "%"
+
+    def test_huge_numeral_is_a_spanned_syntax_error(self):
+        numeral = "9" * 5000  # more digits than int() converts
+        text = MINIMAL.replace("max_issued 1", f"max_issued {numeral}")
+        with pytest.raises(DslSyntaxError, match="too large") as err:
+            parse_spec(text)
+        assert text[err.value.span.start : err.value.span.end] == numeral
+
+
+class TestTableBound:
+    def spec_with(self, decl: str, base: str = "false true undef") -> str:
+        return MINIMAL.replace("vocabulary { }", f"vocabulary {{\n  {decl}\n}}").replace(
+            "base false true undef", f"base {base}"
+        )
+
+    def test_huge_arity_is_rejected_at_the_declaration(self):
+        text = self.spec_with("dynamic owner/30")
+        start = time.perf_counter()
+        with pytest.raises(DslSyntaxError, match=f"3\\^30 table entries in state 'S', more than {MAX_TABLE}") as err:
+            parse_spec(text)
+        assert time.perf_counter() - start < 0.5
+        assert text[err.value.span.start : err.value.span.end] == "dynamic owner/30"
+
+    def test_huge_arity_over_a_one_element_base_is_rejected(self):
+        text = self.spec_with("static relational p/" + "9" * 30, base="x")
+        with pytest.raises(DslSyntaxError, match="table entries"):
+            parse_spec(text)
+
+    @pytest.mark.parametrize("arity, fits", [(2, True), (3, False)])
+    def test_bound_is_inclusive(self, monkeypatch, arity, fits):
+        monkeypatch.setattr(dsl, "MAX_TABLE", 100)
+        text = self.spec_with(f"dynamic owner/{arity}", base="a b c d e f g false true undef")
+        if fits:
+            assert parse_spec(text).states[0].structure.value("owner", ["a"] * arity) == "undef"
+        else:
+            with pytest.raises(DslSyntaxError, match="10\\^3 table entries"):
+                parse_spec(text)
+
+    def test_logic_tables_count_against_the_base_line(self, monkeypatch):
+        monkeypatch.setattr(dsl, "MAX_TABLE", 8)
+        text = self.spec_with("static a/0")
+        with pytest.raises(DslSyntaxError, match="3\\^2 entries per logic table") as err:
+            parse_spec(text)
+        assert text[err.value.span.start : err.value.span.end] == "base false true undef"
 
 
 class TestGuardGrammar:

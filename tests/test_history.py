@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -65,6 +65,39 @@ class TestMkHistory:
     def test_raw_rows_must_be_canonical(self):
         with pytest.raises(HistoryError):
             History(((lq("q"), "a", 1),))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([("q", 1)], "not contiguous"),  # first phase is not 0
+            ([("p", 0), ("q", 2)], "not contiguous"),  # a phase is skipped
+            ([("p", 1), ("q", 0)], "canonical form"),  # phases decrease
+            ([("q", 0), ("p", 0)], "canonical form"),  # queries of a phase out of order
+            ([("q", 0), ("q", 0)], "canonical form"),  # a query twice in one phase
+            ([("q", 0), ("q", 1)], "canonical form"),  # a query in two phases
+            ([("p", 0), ("q", 1), ("p", 2)], "canonical form"),
+        ],
+    )
+    def test_non_canonical_rows_raise(self, rows, message):
+        with pytest.raises(HistoryError, match=message):
+            History(tuple((lq(name), "a", phase) for name, phase in rows))
+
+    def test_canonical_check_agrees_with_sorting(self):
+        # every row sequence of up to 3 rows over 2 queries, 2 replies and phases 0-2
+        # is accepted exactly when it is contiguous from 0 and sorts to itself
+        pool = [(lq(name), reply, phase) for name in "pq" for reply in "ab" for phase in range(3)]
+        for n in range(4):
+            for rows in product(pool, repeat=n):
+                phases = sorted({p for _, _, p in rows})
+                by_query = {q: (r, p) for q, r, p in rows}
+                canonical = phases == list(range(len(phases))) and rows == tuple(
+                    sorted(((q, r, p) for q, (r, p) in by_query.items()), key=lambda row: (row[2], row[0].sort_key))
+                )
+                if canonical:
+                    assert History(rows).entries == rows
+                else:
+                    with pytest.raises(HistoryError):
+                        History(rows)
 
 
 def proper_down_closed_subsets(xi):
@@ -268,7 +301,7 @@ class TestLiterals:
         assert format_history(parse_history(messy)) == "{ (offer0) -> yes @0 ; (offer1) -> no @1 }"
 
     def test_bad_literals_rejected(self):
-        for text in ["{ (q) -> }", "{ (q) yes @0 }", "(q) -> a @0", "{ (q) -> a @x }", "{ () -> a @0 }"]:
+        for text in ["{ (q) -> }", "{ (q) yes @0 }", "(q) -> a @0", "{ (q) -> a @x }", "{ () -> a @0 }", "{ (q) -> a @² }"]:
             with pytest.raises(LiteralSyntaxError):
                 parse_history(text)
 

@@ -303,6 +303,11 @@ class TestStructureFile:
         with pytest.raises(StructureError, match="line 2"):
             parse_structure("base a true false undef\ninterp nosuch () = a\n")
 
+    @pytest.mark.parametrize("arity", ["²", "٣"])
+    def test_non_ascii_arity_rejected(self, arity):
+        with pytest.raises(StructureError, match="line 2: arity"):
+            parse_structure(f"base false true undef\ndynamic r/{arity}\n")
+
     def test_missing_base_rejected(self):
         with pytest.raises(StructureError):
             parse_structure("dynamic f/0\n")
