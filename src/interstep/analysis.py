@@ -250,17 +250,19 @@ def check_postulates(
         attainable_by_state[sdef.name] = res
         truncated = truncated or res.truncated
 
+    # each state's attainable histories in report order, sorted once for every section
+    ordered = {name: sorted(res.histories, key=history_sort_key) for name, res in attainable_by_state.items()}
+
     for sdef in spec.states:
         x = sdef.structure
-        res = attainable_by_state[sdef.name]
-        for xi in sorted(res.histories, key=history_sort_key):
+        for xi in ordered[sdef.name]:
             # step-a: in lax mode completion finality makes every complete history final
             if strict and not pending(spec, x, xi) and not explicitly_final(spec, x, xi):
                 step_a.append(f"state {sdef.name}: complete coherent {format_history(xi)} has no final prefix")
             v = verdict(spec, x, xi)
             if v.is_final and v.kind not in ("success", "fail"):
                 exclusivity.append(f"state {sdef.name}: {format_history(xi)} has verdict {v.kind!r}")
-        for issue in check_bounds(spec, x, res.histories):
+        for issue in check_bounds(spec, x, ordered[sdef.name]):
             bounds.append(f"state {sdef.name}: [{issue.code}] {format_history(issue.history)}: {issue.detail}")
 
     for mapping, name_a, name_b in isos:
@@ -272,7 +274,7 @@ def check_postulates(
         if (name_a in spec.initial) != (name_b in spec.initial):
             iso_section.append(f"{name_a} -> {name_b}: initiality is not preserved")
         iso = Isomorphism.of(full)
-        for xi in sorted(attainable_by_state[name_a].histories, key=history_sort_key):
+        for xi in ordered[name_a]:
             moved = apply_isomorphism(iso, xi)
             if apply_isomorphism(iso, causes(spec, xa, xi)) != causes(spec, xb, moved):
                 iso_section.append(f"{name_a} -> {name_b}: causes not preserved at {format_history(xi)}")
@@ -289,7 +291,7 @@ def check_postulates(
         witness_pairs = [(a, b) for i, a in enumerate(names) for b in names[i:]]
     for name_a, name_b in witness_pairs:
         xa, xb = spec.state(name_a), spec.state(name_b)
-        for xi in sorted(attainable_by_state[name_a].histories, key=history_sort_key):
+        for xi in ordered[name_a]:
             if not history_valid_for(xb, xi):
                 continue
             for issue in check_witness(spec, xa, xb, xi):

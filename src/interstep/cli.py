@@ -97,12 +97,16 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_spec(path: Path) -> AlgorithmSpec:
+def _read(path: Path) -> str:
+    """A spec, script or iso file's text; a file that is missing or not UTF-8 is a usage error."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    return dsl.parse_spec(text)
+
+
+def _load_spec(path: Path) -> AlgorithmSpec:
+    return dsl.parse_spec(_read(path))
 
 
 def _pick_state(spec: AlgorithmSpec, name: str | None, *, initial_only: bool = False) -> Structure:
@@ -142,7 +146,7 @@ def _cmd_validate(args, out) -> int:
 def _cmd_step(args, out) -> int:
     spec = _load_spec(args.spec)
     x = _pick_state(spec, args.state)
-    script = execution.parse_script(args.script.read_text(encoding="utf-8"))
+    script = execution.parse_script(_read(args.script))
     trace = execution.step(spec, x, execution.ScriptedEnvironment(script), max_phases=args.max_phases)
     out.write(execution.format_trace(trace, args.format))
     return execution.EXIT_CODES[trace.outcome.kind]
@@ -160,7 +164,7 @@ def _cmd_repl(args, out) -> int:
 def _cmd_run(args, out) -> int:
     spec = _load_spec(args.spec)
     x0 = _pick_state(spec, args.state, initial_only=True)
-    script = execution.parse_script(args.script.read_text(encoding="utf-8"))
+    script = execution.parse_script(_read(args.script))
     steps = execution.run(
         spec,
         x0,
@@ -191,15 +195,16 @@ def _cmd_enumerate(args, out) -> int:
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore", analysis.TruncationWarning)
         res = analysis.enumerate_attainable(spec, x, _config(args))
-    ordered = sorted(res.histories, key=history_sort_key)
+    # the sort keys end in each history's text, so the listing prints them
+    ordered = [text for _, _, text in sorted(map(history_sort_key, res.histories))]
     if args.format == "machine":
         out.write(f"count={len(ordered)}\n")
         out.write(f"truncated={'true' if res.truncated else 'false'}\n")
-        for xi in ordered:
-            out.write("history=" + format_history(xi) + "\n")
+        for text in ordered:
+            out.write("history=" + text + "\n")
     else:
-        for xi in ordered:
-            out.write(format_history(xi) + "\n")
+        for text in ordered:
+            out.write(text + "\n")
         suffix = " (truncated)" if res.truncated else ""
         out.write(f"{len(ordered)} attainable histories{suffix}\n")
     return 0
@@ -209,7 +214,7 @@ def _cmd_check(args, out) -> int:
     spec = _load_spec(args.spec)
     isos: list[analysis.IsoSpec] = []
     if args.iso:
-        isos = analysis.parse_iso_file(args.iso.read_text(encoding="utf-8"))
+        isos = analysis.parse_iso_file(_read(args.iso))
     import warnings as _warnings
 
     with _warnings.catch_warnings():

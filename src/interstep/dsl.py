@@ -76,6 +76,7 @@ from .model import (
 from .spans import Span
 from .structure import (
     LOGIC_NAMES,
+    MAX_TABLE,
     App,
     ReplyVar,
     Structure,
@@ -83,6 +84,7 @@ from .structure import (
     Term,
     Var,
     Vocabulary,
+    _table_exceeds,
     canonical_interp_entries,
     format_symbol_decl,
     format_term,
@@ -211,20 +213,6 @@ def _non_ascii_word(text: str, i: int, line: int, column: int, byte: int) -> NoR
 # --- Parser ---------------------------------------------------------------------
 
 MAX_NESTING = 100
-MAX_TABLE = 100_000  # entries of one symbol's table in one state
-
-
-def _table_exceeds(n: int, arity: int) -> bool:
-    """Whether n^arity > MAX_TABLE, without computing a huge power.
-
-    A base of one element counts as two, so that the arity alone is bounded too.
-    """
-    size = 1
-    for _ in range(arity):
-        size *= max(n, 2)
-        if size > MAX_TABLE:
-            return True
-    return False
 
 
 class _Parser:

@@ -21,18 +21,30 @@ issued, the verdict and the update set, and memoizes each per history in
 tables of its own.  The description owns its evaluators
 (`AlgorithmSpec.evaluator`), so the tables are freed with the description;
 no memo lives at module level, and no lookup hashes a whole description.
-The module-level `causes`, `issued`, `pending`, `verdict` and `update_set`
-keep their `(spec, x, xi)` signatures as thin calls into the evaluator, and
-`holds` stays a module-level walk over a guard tree: the commands call these
-names, and the benchmark (`perfbench/tracing.py`) times and counts them by
+
+Guards are compiled, each at its first use, into functions `f(ev, xi)` that
+the description keeps, keyed by the guard's identity, and shares between its
+states.  A compiled guard takes the evaluator as an argument and holds none,
+so it keeps no evaluator alive.  Its atoms read the evaluator's per-state
+tables, filled on first use: the instance of a template that reads no reply,
+by template name, and the value of a closed term, by the term's repr.  Any
+other template or term goes through `Evaluator.instance` and
+`Evaluator.value`, so a missing or self-referencing template still fails when
+an atom first reads it.
+
+The module-level `holds(ev, xi, guard)` is the one entry point that runs a
+rule guard's compiled function.  It and `causes`, `issued`, `pending`,
+`verdict` and `update_set` (which keep their `(spec, x, xi)` signatures as
+thin calls into the evaluator) stay module-level names: the commands call
+them, and the benchmark (`perfbench/tracing.py`) times and counts them by
 name in every module that binds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable
+from functools import cached_property, partial
+from typing import Callable, Iterable
 
 from .errors import EngineError
 from .history import (
@@ -250,7 +262,24 @@ class AlgorithmSpec:
         return _named_template(self._template_by_name, qname)
 
     @cached_property
+    def _reply_free(self) -> frozenset[int]:
+        # ids of the templates that read no reply; each evaluator holds the templates
+        # and the issue rules, so the ids stay unique while it lives
+        own = (*self.templates, *(r.template for r in self.issue_rules))
+        return frozenset(id(t) for t in own if not _reads_replies(t))
+
+    @cached_property
     def _evaluators(self) -> dict[Structure, Evaluator]:
+        return {}
+
+    @cached_property
+    def _compiled_guards(self) -> dict[int, tuple[Guard, GuardFn]]:
+        # id(guard) -> (guard, compiled guard); filled by `holds`, shared by this spec's evaluators
+        return {}
+
+    @cached_property
+    def _compiled_nodes(self) -> dict[object, GuardFn]:
+        # every compiled guard node, so that equal nodes share one function (see `_compile`)
         return {}
 
     def evaluator(self, x: Structure) -> Evaluator:
@@ -299,6 +328,10 @@ def failed(reason: str) -> Verdict:
 # --- Evaluation at one state -------------------------------------------------------
 
 
+# the one empty result set: an empty frozenset is a new object each time it is built
+_NOTHING: frozenset = frozenset()
+
+
 def _reads_replies(template: QueryTemplate) -> bool:
     return any(
         isinstance(v, ReplyVar)
@@ -320,8 +353,15 @@ class Evaluator:
 
     A template that reads no reply has one instance under every history and
     is instantiated once; any other template is resolved once per history.
-    `issued` grows along the history, one phase class at a time.
+    A closed term is evaluated once.  `issued` grows along the history, one
+    phase class at a time.
     """
+
+    __slots__ = (
+        "_template_by_name", "issue_rules", "final_rules", "update_rules", "x", "_guards", "_nodes", "_templates",
+        "_reply_free", "_fixed", "_fixed_by_name", "_constants", "_closed", "_instances", "_causes", "_issued",
+        "_verdicts", "_updates", "__weakref__",
+    )
 
     def __init__(self, spec: AlgorithmSpec, x: Structure):
         # The parts of the spec it reads, not the spec itself: the spec holds
@@ -332,11 +372,17 @@ class Evaluator:
         self.final_rules = spec.final_rules
         self.update_rules = spec.update_rules
         self.x = x
-        self._own = (*spec.templates, *(r.template for r in spec.issue_rules))
-        # ids of templates held in _own, so they stay unique while this evaluator lives
-        self._reply_free = {id(t) for t in self._own if not _reads_replies(t)}
+        self._guards = spec._compiled_guards
+        self._nodes = spec._compiled_nodes
+        self._templates = spec.templates  # holds the named templates whose ids _reply_free lists
+        self._reply_free = spec._reply_free
         self._fixed: dict[int, Query] = {}
+        # instances of the named templates that read no reply, read by compiled atoms
+        self._fixed_by_name: dict[str, Query] = {}
         self._constants: dict[Term, str] = {}
+        # values of the closed terms of compiled guards, keyed by the term's repr: by
+        # value, because a spec repeats closed terms such as `yes()` in many guards
+        self._closed: dict[str, str] = {}
         self._instances: dict[tuple[History, str], Query | None] = {}
         self._causes: dict[History, frozenset[Query]] = {}
         self._issued: dict[History, frozenset[Query]] = {}
@@ -347,11 +393,15 @@ class Evaluator:
 
     def instance(self, xi: History, qname: str, _active: tuple[str, ...] = ()) -> Query | None:
         """The current instance of a named template, or None if not yet determined."""
+        q = self._fixed_by_name.get(qname)
+        if q is not None:
+            return q
         if qname in _active:
             raise InstantiationError(f"query template {qname!r} references itself through replies")
         template = _named_template(self._template_by_name, qname)
         if id(template) in self._reply_free:
-            return self.instantiate(xi, template)
+            q = self._fixed_by_name[qname] = self.instantiate(xi, template)
+            return q
         key = (xi, qname)
         if key not in self._instances:
             self._instances[key] = self.instantiate(xi, template, _active + (qname,))
@@ -402,6 +452,11 @@ class Evaluator:
                 self._constants[term] = out
         return out
 
+    def constant(self, key: str, term: Term) -> str:
+        """The value of a closed term, kept in `_closed` under its repr (the key)."""
+        out = self._closed[key] = eval_term(self.x, term)
+        return out
+
     # --- causality, verdicts, updates
 
     def causes(self, xi: History) -> frozenset[Query]:
@@ -416,7 +471,7 @@ class Evaluator:
                             f"issue rule {rule.name!r} fired but its query mentions an unanswered reply"
                         )
                     found.add(q)
-            out = self._causes[xi] = frozenset(found)
+            out = self._causes[xi] = frozenset(found) if found else _NOTHING
         return out
 
     def issued(self, xi: History) -> frozenset[Query]:
@@ -424,7 +479,9 @@ class Evaluator:
         if out is None:
             out = self.causes(xi)
             if xi.entries:
-                out = self.issued(prefix(xi, xi.length - 1)) | out
+                before = self.issued(prefix(xi, xi.length - 1))
+                # most histories cause nothing new: share the prefix's set
+                out = before if out <= before else before | out
             self._issued[xi] = out
         return out
 
@@ -468,11 +525,14 @@ class Evaluator:
                         )
                     values.append(value)
                 found.add(Update(Location(rule.symbol, tuple(values[:-1])), values[-1]))
-            out = self._updates[xi] = frozenset(found)
+            out = self._updates[xi] = frozenset(found) if found else _NOTHING
         return out
 
 
 # --- Guard evaluation -------------------------------------------------------------
+
+
+GuardFn = Callable[[Evaluator, History], bool]
 
 
 def holds(ev: Evaluator, xi: History, guard: Guard) -> bool:
@@ -480,42 +540,150 @@ def holds(ev: Evaluator, xi: History, guard: Guard) -> bool:
 
     Atoms that need a reply which the history does not provide are false;
     their negations are therefore true, matching the reading "has no reply
-    yet" of partial-information conditions.
+    yet" of partial-information conditions.  The guard is compiled at its
+    first use, and the compiled function is kept with the description.
     """
-    # connectives first: they are most of the nodes of a rule's guard
-    if isinstance(guard, And):
-        return holds(ev, xi, guard.left) and holds(ev, xi, guard.right)
-    if isinstance(guard, Not):
-        return not holds(ev, xi, guard.inner)
-    if isinstance(guard, Or):
-        return holds(ev, xi, guard.left) or holds(ev, xi, guard.right)
-    if isinstance(guard, ReplyEq):
-        inst = ev.instance(xi, guard.qname)
-        reply = None if inst is None else xi.answers.get(inst)
-        if reply is None:
-            return False
-        value = ev.value(xi, guard.term)
-        return value is not None and reply == value
+    entry = ev._guards.get(id(guard))
+    if entry is None:
+        # the entry holds the guard, so that its id stays unique while the entry lives
+        entry = ev._guards[id(guard)] = (guard, _compile(guard, ev._nodes))
+    return entry[1](ev, xi)
+
+
+def _compile(guard: Guard, nodes: dict[object, GuardFn]) -> GuardFn:
+    """A function of (evaluator, history) computing the guard.
+
+    It is a module-level function below with the node's names, terms and
+    compiled operands bound first.  Equal nodes of one description share one
+    function through `nodes`: an atom is keyed by its value, a connective by
+    its kind and its operands' functions, so no key hashes a whole subtree.
+
+    Atoms look a template's instance up in `ev._fixed_by_name` first, which
+    holds only templates that read no reply, and a closed term's value in
+    `ev._closed`; on a miss they ask the evaluator, which fills the table or
+    raises.  Connectives evaluate their operands left to right and stop early,
+    as the tree walk in `tests/oracle.py` does.
+    """
+    if isinstance(guard, (And, Or)):
+        # a list, not a generator expression: one generator per connective raised the
+        # resident memory a `session` benchmark round leaves behind by a third
+        parts = tuple([_compile(g, nodes) for g in _chain(guard)])
+        key: object = (_all_of if isinstance(guard, And) else _any_of, parts)
+    elif isinstance(guard, Not):
+        key = (_not, _compile(guard.inner, nodes))
+    else:
+        key = guard
+    f = nodes.get(key)
+    if f is None:
+        f = nodes[key] = partial(*key) if isinstance(key, tuple) else _atom(guard)
+    return f
+
+
+def _atom(guard: Guard) -> GuardFn:
     if isinstance(guard, Start):
-        return not xi.entries
+        return _start
     if isinstance(guard, Answered):
-        inst = ev.instance(xi, guard.qname)
-        return inst is not None and inst in xi.domain
+        return partial(_answered, guard.qname)
     if isinstance(guard, Unanswered):
-        inst = ev.instance(xi, guard.qname)
-        return inst is None or inst not in xi.domain
-    if isinstance(guard, (Before, Simultaneous)):
-        a = ev.instance(xi, guard.first)
-        b = ev.instance(xi, guard.second)
-        if a is None or b is None or a not in xi.domain or b not in xi.domain:
-            return False
-        pa, pb = xi.phase_of(a), xi.phase_of(b)
-        return pa < pb if isinstance(guard, Before) else pa == pb
+        return partial(_unanswered, guard.qname)
+    if isinstance(guard, ReplyEq):
+        if _closed(guard.term):
+            return partial(_reply_is, guard.qname, repr(guard.term), guard.term)
+        return partial(_reply_eq, guard.qname, guard.term)
+    if isinstance(guard, Before):
+        return partial(_before, guard.first, guard.second)
+    if isinstance(guard, Simultaneous):
+        return partial(_simultaneous, guard.first, guard.second)
     if isinstance(guard, TermEq):
-        lv = ev.value(xi, guard.left)
-        rv = ev.value(xi, guard.right)
-        return lv is not None and lv == rv
+        return partial(_term_eq, guard.left, guard.right)
+    return partial(_unknown, guard)
+
+
+def _all_of(parts: tuple[GuardFn, ...], ev: Evaluator, xi: History) -> bool:
+    for f in parts:
+        if not f(ev, xi):
+            return False
+    return True
+
+
+def _any_of(parts: tuple[GuardFn, ...], ev: Evaluator, xi: History) -> bool:
+    for f in parts:
+        if f(ev, xi):
+            return True
+    return False
+
+
+def _not(inner: GuardFn, ev: Evaluator, xi: History) -> bool:
+    return not inner(ev, xi)
+
+
+def _start(ev: Evaluator, xi: History) -> bool:
+    return not xi.entries
+
+
+def _answered(qname: str, ev: Evaluator, xi: History) -> bool:
+    return (ev._fixed_by_name.get(qname) or ev.instance(xi, qname)) in xi.answers
+
+
+def _unanswered(qname: str, ev: Evaluator, xi: History) -> bool:
+    return (ev._fixed_by_name.get(qname) or ev.instance(xi, qname)) not in xi.answers
+
+
+def _reply_is(qname: str, key: str, term: Term, ev: Evaluator, xi: History) -> bool:
+    """The reply to qname equals a closed term, whose value is read once per state."""
+    reply = xi.answers.get(ev._fixed_by_name.get(qname) or ev.instance(xi, qname))
+    return reply is not None and reply == (ev._closed.get(key) or ev.constant(key, term))
+
+
+def _reply_eq(qname: str, term: Term, ev: Evaluator, xi: History) -> bool:
+    reply = xi.answers.get(ev._fixed_by_name.get(qname) or ev.instance(xi, qname))
+    return reply is not None and reply == ev.value(xi, term)
+
+
+def _phases(first: str, second: str, ev: Evaluator, xi: History) -> tuple[int, int] | None:
+    fixed = ev._fixed_by_name
+    a = fixed.get(first) or ev.instance(xi, first)
+    b = fixed.get(second) or ev.instance(xi, second)
+    phases = xi.phase_map
+    pa, pb = phases.get(a), phases.get(b)
+    return None if pa is None or pb is None else (pa, pb)
+
+
+def _before(first: str, second: str, ev: Evaluator, xi: History) -> bool:
+    p = _phases(first, second, ev, xi)
+    return p is not None and p[0] < p[1]
+
+
+def _simultaneous(first: str, second: str, ev: Evaluator, xi: History) -> bool:
+    p = _phases(first, second, ev, xi)
+    return p is not None and p[0] == p[1]
+
+
+def _term_eq(left: Term, right: Term, ev: Evaluator, xi: History) -> bool:
+    lv, rv = ev.value(xi, left), ev.value(xi, right)
+    return lv is not None and lv == rv
+
+
+def _unknown(guard: Guard, ev: Evaluator, xi: History) -> bool:
     raise ModelError(f"unknown guard node {guard!r}")
+
+
+def _chain(guard: And | Or) -> list[Guard]:
+    """The operands of a chain of one connective, left to right, without recursion."""
+    kind = type(guard)
+    out: list[Guard] = []
+    stack: list[Guard] = [guard]
+    while stack:
+        g = stack.pop()
+        if type(g) is kind:
+            stack += (g.right, g.left)
+        else:
+            out.append(g)
+    return out
+
+
+def _closed(term: Term) -> bool:
+    return next(term_variables(term), None) is None
 
 
 # --- The semantics as functions of (spec, state, history) ---------------------------
@@ -597,9 +765,9 @@ class BoundsIssue:
 
 
 def check_bounds(spec: AlgorithmSpec, x: Structure, attainables: Iterable[History]) -> list[BoundsIssue]:
-    """Report attainable histories that break the declared work bounds."""
+    """Report attainable histories that break the declared work bounds, in the order given."""
     issues: list[BoundsIssue] = []
-    for xi in sorted(attainables, key=lambda h: (h.length, len(h.entries), repr(h))):
+    for xi in attainables:
         qs = issued(spec, x, xi)
         for q in sorted(qs, key=query_sort_key):
             if len(q.parts) > spec.bounds.max_query_len:

@@ -517,6 +517,22 @@ def format_structure(x: Structure) -> str:
 _IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
 
+MAX_TABLE = 100_000  # entries of one symbol's table in one state
+
+
+def _table_exceeds(n: int, arity: int) -> bool:
+    """Whether n^arity > MAX_TABLE, without computing a huge power.
+
+    A base of one element counts as two, so that the arity alone is bounded too.
+    """
+    size = 1
+    for _ in range(arity):
+        size *= max(n, 2)
+        if size > MAX_TABLE:
+            return True
+    return False
+
+
 def _ident(tok: str, lineno: int) -> str:
     if not tok or tok[0].isdigit() or any(c not in _IDENT_OK for c in tok):
         raise StructureError(f"line {lineno}: {tok!r} is not a valid identifier")
@@ -524,9 +540,16 @@ def _ident(tok: str, lineno: int) -> str:
 
 
 def parse_structure(text: str) -> Structure:
-    """Parse the line-oriented structure format produced by format_structure."""
+    """Parse the line-oriented structure format produced by format_structure.
+
+    A declaration whose table over the base would exceed MAX_TABLE entries
+    (|base|^arity) is rejected, naming its line, before any table is built;
+    the binary logic tables (|base|^2) are charged to the base line.
+    """
     base: tuple[str, ...] | None = None
+    base_line = 0
     decls: list[SymbolDecl] = []
+    decl_lines: list[int] = []
     raw_entries: list[tuple[int, str, tuple[str, ...], str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -539,6 +562,7 @@ def parse_structure(text: str) -> Structure:
             if len(words) < 2:
                 raise StructureError(f"line {lineno}: base line lists no elements")
             base = tuple(_ident(w, lineno) for w in words[1:])
+            base_line = lineno
         elif words[0] in ("static", "dynamic", "relational"):
             static = words[0] == "static"
             relational = words[0] == "relational"
@@ -552,6 +576,7 @@ def parse_structure(text: str) -> Structure:
             if not (arity_text.isascii() and arity_text.isdigit()):
                 raise StructureError(f"line {lineno}: arity {arity_text!r} is not a natural number")
             decls.append(SymbolDecl(_ident(name, lineno), int(arity_text), static=static, relational=relational))
+            decl_lines.append(lineno)
         elif words[0] == "interp":
             lp, rp = line.find("("), line.find(")")
             if lp < 0 or rp < lp or "=" not in line[rp:]:
@@ -564,6 +589,17 @@ def parse_structure(text: str) -> Structure:
             raise StructureError(f"line {lineno}: unrecognized directive {words[0]!r}")
     if base is None:
         raise StructureError("structure text has no base line")
+    n = len(set(base))
+    for lineno, d in zip(decl_lines, decls):
+        if _table_exceeds(n, d.arity):
+            raise StructureError(
+                f"line {lineno}: symbol {d.name!r} of arity {d.arity} needs {n}^{d.arity} table entries, "
+                f"more than {MAX_TABLE}"
+            )
+    if _table_exceeds(n, 2):
+        raise StructureError(
+            f"line {base_line}: a base of {n} elements needs {n}^2 entries per logic table, more than {MAX_TABLE}"
+        )
     vocab = Vocabulary.make(decls)
     interp: dict[str, dict[tuple[str, ...], str]] = {}
     for lineno, name, args, value in raw_entries:

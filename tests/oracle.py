@@ -78,6 +78,7 @@ __all__ = [
     "brute_force_attainable",
     "brute_force_coherent",
     "brute_force_step_a",
+    "holds",
     "query_universe",
     "reference_causes",
     "reference_issued",

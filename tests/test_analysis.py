@@ -296,17 +296,20 @@ class TestIsoFile:
 def test_analysed_spec_is_freed():
     """The memo tables belong to the spec, so nothing keeps an analysed spec alive.
 
-    No reference cycle holds it either: dropping the last reference frees it
-    at once, with the cycle collector off.
+    No reference cycle holds it, its evaluators or its compiled guards either:
+    dropping the last reference frees them all at once, with the cycle
+    collector off.
     """
     spec = parse_spec((SPECS / "broker.isa").read_text())
-    ref = weakref.ref(spec)
     gc.disable()
     try:
         enumerate_attainable(spec, spec.state("X0"), SMALL)
         check_postulates(spec, SMALL)
         equivalent(spec, spec, SMALL)
+        refs = [weakref.ref(spec), *map(weakref.ref, spec._evaluators.values())]
+        refs.append(weakref.ref(spec._compiled_guards[id(spec.final_rules[0].guard)][1]))
+        assert len(refs) == 3
         del spec
-        assert ref() is None
+        assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()

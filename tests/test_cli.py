@@ -77,6 +77,20 @@ def test_unreadable_path_exits_4(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("file_arg", ["spec", "--script", "--iso"])
+def test_file_that_is_not_utf8_exits_4(tmp_path, capsys, file_arg):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"algorithm x\xff\n")
+    argv = {
+        "spec": ["validate", str(bad)],
+        "--script": ["step", BROKER, "--script", str(bad)],
+        "--iso": ["check", str(SPECS / "broker_sym.isa"), "--iso", str(bad), *SMALL],
+    }[file_arg]
+    assert run_cli(*argv)[0] == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_unknown_option_exits_4():
     assert run_cli("validate", BROKER, "--jobs", "2")[0] == 4
 

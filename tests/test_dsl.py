@@ -6,7 +6,7 @@ import time
 import pytest
 
 from conftest import SPECS
-from interstep import dsl
+from interstep import structure
 from interstep.dsl import (
     MAX_NESTING,
     MAX_TABLE,
@@ -151,7 +151,7 @@ class TestTableBound:
 
     @pytest.mark.parametrize("arity, fits", [(2, True), (3, False)])
     def test_bound_is_inclusive(self, monkeypatch, arity, fits):
-        monkeypatch.setattr(dsl, "MAX_TABLE", 100)
+        monkeypatch.setattr(structure, "MAX_TABLE", 100)
         text = self.spec_with(f"dynamic owner/{arity}", base="a b c d e f g false true undef")
         if fits:
             assert parse_spec(text).states[0].structure.value("owner", ["a"] * arity) == "undef"
@@ -160,7 +160,7 @@ class TestTableBound:
                 parse_spec(text)
 
     def test_logic_tables_count_against_the_base_line(self, monkeypatch):
-        monkeypatch.setattr(dsl, "MAX_TABLE", 8)
+        monkeypatch.setattr(structure, "MAX_TABLE", 8)
         text = self.spec_with("static a/0")
         with pytest.raises(DslSyntaxError, match="3\\^2 entries per logic table") as err:
             parse_spec(text)

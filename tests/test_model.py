@@ -1,26 +1,39 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BROKER_POOL, SPECS, h, lq
 from interstep.analysis import EnumerationConfig, enumerate_attainable
 from interstep.dsl import parse_spec
-from interstep.history import EMPTY_HISTORY, Elem, Label, Query, mk_history
+from interstep.history import EMPTY_HISTORY, Elem, History, Label, Query, history_sort_key, mk_history
 from interstep.model import (
+    And,
     Answered,
+    Before,
+    Guard,
     IncompatibleHistory,
     InstantiationError,
     IssueRule,
+    ModelError,
+    Not,
     NotSuccessful,
+    Or,
     QueryTemplate,
     ReplyEq,
+    Simultaneous,
     Start,
+    TermEq,
+    Unanswered,
     UpdateRule,
     causes,
     check_bounds,
     check_witness,
+    holds,
     is_attainable,
     is_coherent,
     is_complete,
@@ -30,7 +43,8 @@ from interstep.model import (
     update_set,
     verdict,
 )
-from interstep.structure import App, ReplyVar, update
+from interstep.structure import App, ReplyVar, Term, update
+from oracle import holds as reference_holds
 from oracle import reference_causes, reference_issued, reference_update_set, reference_verdict
 
 
@@ -282,6 +296,53 @@ class TestCheckWitness:
             check_witness(broker, broker_state, broker_state, xi)
 
 
+BROKER = parse_spec((SPECS / "broker.isa").read_text())
+# the broker's templates, and a name that has no template
+QNAMES = ("choose", "offer0", "offer1", "timeout", "ghost")
+
+
+@functools.cache
+def broker_histories() -> list[History]:
+    histories = enumerate_attainable(BROKER, BROKER.state("X0"), EnumerationConfig(reply_pool=BROKER_POOL)).histories
+    return sorted(histories, key=history_sort_key)
+
+
+def terms() -> st.SearchStrategy[Term]:
+    """Closed terms, replies, and `eq` of two of them."""
+    leaves = st.one_of(
+        st.sampled_from(("client0", "client1", "no", "yes")).map(App),
+        st.sampled_from(QNAMES).map(ReplyVar),
+    )
+    return st.one_of(leaves, st.tuples(leaves, leaves).map(lambda ab: App("eq", ab)))
+
+
+def guards() -> st.SearchStrategy[Guard]:
+    """Random guards over the broker's templates, with every atom and connective."""
+    q = st.sampled_from(QNAMES)
+    atoms = st.one_of(
+        st.just(Start()),
+        q.map(Answered),
+        q.map(Unanswered),
+        st.builds(ReplyEq, q, terms()),
+        st.builds(Before, q, q),
+        st.builds(Simultaneous, q, q),
+        st.builds(TermEq, terms(), terms()),
+    )
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(inner.map(Not), st.builds(And, inner, inner), st.builds(Or, inner, inner)),
+        max_leaves=12,
+    )
+
+
+def outcome(semantics, *args) -> tuple[str, object]:
+    """A guard's value, or the class of the error it raised."""
+    try:
+        return ("value", semantics(*args))
+    except ModelError as exc:
+        return ("error", type(exc))
+
+
 def broker_with_confirm(confirm: str):
     """broker.isa plus a `confirm` query issued after a tie-break, with parts `confirm`.
 
@@ -314,11 +375,15 @@ class TestEvaluatorMatchesReference:
         else:
             spec = request.getfixturevalue(name)
         cfg = EnumerationConfig(reply_pool=BROKER_POOL)
+        guarded = (*spec.issue_rules, *spec.final_rules, *spec.update_rules)
         for sdef in spec.states:
             x = sdef.structure
             histories = enumerate_attainable(spec, x, cfg).histories
             assert len(histories) > 700
+            ev = spec.evaluator(x)
             for xi in histories:
+                for rule in guarded:
+                    assert holds(ev, xi, rule.guard) == reference_holds(spec, x, xi, rule.guard), rule.name
                 assert causes(spec, x, xi) == reference_causes(spec, x, xi)
                 assert issued(spec, x, xi) == reference_issued(spec, x, xi)
                 assert verdict(spec, x, xi) == reference_verdict(spec, x, xi)
@@ -332,3 +397,28 @@ class TestEvaluatorMatchesReference:
             with pytest.raises(InstantiationError, match="references itself"):
                 semantics(spec, x, tie)
         assert causes(spec, x, EMPTY_HISTORY) == reference_causes(spec, x, EMPTY_HISTORY)
+
+
+class TestCompiledGuards:
+    def test_self_referencing_template_raises_at_evaluation(self):
+        spec = broker_with_confirm("(confirm reply(confirm))")  # parses
+        ev = spec.evaluator(spec.state("X0"))
+        guard = Or(Start(), Answered("confirm"))
+        assert holds(ev, EMPTY_HISTORY, guard)  # compiled; the atom is not reached
+        with pytest.raises(InstantiationError, match="references itself"):
+            holds(ev, h(("offer0", "no", 0)), guard)
+
+    def test_missing_template_raises_at_evaluation(self, broker, broker_state):
+        ev = broker.evaluator(broker_state)
+        guard = Or(Start(), ReplyEq("ghost", App("yes")))
+        assert holds(ev, EMPTY_HISTORY, guard)
+        with pytest.raises(ModelError, match="no query template named 'ghost'"):
+            holds(ev, h(("offer0", "no", 0)), guard)
+
+    @settings(max_examples=200, deadline=None)
+    @given(guards(), st.lists(st.sampled_from(broker_histories()), min_size=1, max_size=25))
+    def test_random_guards_match_the_reference(self, guard, histories):
+        spec, x = BROKER, BROKER.state("X0")
+        ev = spec.evaluator(x)
+        for xi in histories:
+            assert outcome(holds, ev, xi, guard) == outcome(reference_holds, spec, x, xi, guard)

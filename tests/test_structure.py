@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import time
 from itertools import product
 
 import pytest
 
+from interstep import structure
 from interstep.history import Elem, Label, Query
 from interstep.isomorphism import (
     ElementNotInDomain,
@@ -16,6 +18,7 @@ from interstep.structure import (
     ArityMismatch,
     ClashError,
     Location,
+    MAX_TABLE,
     ReplyVar,
     Structure,
     StructureError,
@@ -307,6 +310,29 @@ class TestStructureFile:
     def test_non_ascii_arity_rejected(self, arity):
         with pytest.raises(StructureError, match="line 2: arity"):
             parse_structure(f"base false true undef\ndynamic r/{arity}\n")
+
+    def test_huge_arity_is_rejected_at_its_line(self):
+        # 8^6 entries took 0.2 s to build, and each further arity step costs 8x more
+        start = time.perf_counter()
+        message = f"line 2: symbol 'r' of arity 30 needs 8\\^30 table entries, more than {MAX_TABLE}"
+        with pytest.raises(StructureError, match=message):
+            parse_structure("dynamic f/0\ndynamic r/30\nbase a b c d e false true undef\n")
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("arity, fits", [(2, True), (3, False)])
+    def test_table_bound_is_inclusive(self, monkeypatch, arity, fits):
+        monkeypatch.setattr(structure, "MAX_TABLE", 100)
+        text = f"base a b c d e f g false true undef\ndynamic r/{arity}\n"
+        if fits:
+            assert parse_structure(text).value("r", ["a"] * arity) == "undef"
+        else:
+            with pytest.raises(StructureError, match="line 2: .* 10\\^3 table entries"):
+                parse_structure(text)
+
+    def test_logic_tables_count_against_the_base_line(self, monkeypatch):
+        monkeypatch.setattr(structure, "MAX_TABLE", 8)
+        with pytest.raises(StructureError, match="line 2: a base of 3 elements needs 3\\^2 entries per logic table"):
+            parse_structure("static a/0\nbase false true undef\n")
 
     def test_missing_base_rejected(self):
         with pytest.raises(StructureError):
