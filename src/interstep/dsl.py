@@ -33,8 +33,7 @@ in source cannot apply the logic connectives (build such terms via the API;
 `Boole` and `eq` remain spellable).  `reply(q) = t` always parses as the
 reply-comparison atom.  `not`, parenthesized guards and term arguments nest
 at most MAX_NESTING deep, and each `and`/`or` of a chain counts as one more
-level.  A state whose base would give one symbol's table more than MAX_TABLE
-entries (|base|^arity) is rejected at the symbol's declaration.
+level.
 
 Lexer: tokens are ASCII.  NAME is `[A-Za-z_][A-Za-z0-9_]*` and NAT is
 `[0-9]+`: numerals are ASCII digits only, so `²` or `٣` is an unexpected
@@ -76,7 +75,6 @@ from .model import (
 from .spans import Span
 from .structure import (
     LOGIC_NAMES,
-    MAX_TABLE,
     App,
     ReplyVar,
     Structure,
@@ -84,7 +82,6 @@ from .structure import (
     Term,
     Var,
     Vocabulary,
-    _table_exceeds,
     canonical_interp_entries,
     format_symbol_decl,
     format_term,
@@ -277,24 +274,6 @@ class _Parser:
         except ValueError:  # more digits than int() converts
             raise DslSyntaxError(f"numeral of {len(tok.text)} digits is too large", tok.span) from None
 
-    def check_table_sizes(self, state: str, n: int, base_span: Span) -> None:
-        """Reject a symbol whose table over this state's n elements would exceed MAX_TABLE.
-
-        The table has n^arity entries, built in full when the state is made.
-        The binary logic tables (eq, and, or) have n^2, charged to the base line.
-        """
-        for decl in self.vocab.user_symbols:
-            if _table_exceeds(n, decl.arity):
-                raise DslSyntaxError(
-                    f"symbol {decl.name!r} of arity {decl.arity} needs {n}^{decl.arity} table entries "
-                    f"in state {state!r}, more than {MAX_TABLE}",
-                    self.decl_spans[decl.name],
-                )
-        if _table_exceeds(n, 2):
-            raise DslSyntaxError(
-                f"a base of {n} elements needs {n}^2 entries per logic table, more than {MAX_TABLE}", base_span
-            )
-
     # sections
 
     def parse_spec(self) -> AlgorithmSpec:
@@ -380,7 +359,6 @@ class _Parser:
                 base.append(self.advance().text)
             if not base:
                 raise DslSyntaxError("base line lists no elements", base_kw.span, expected=("IDENT",))
-            self.check_table_sizes(name_tok.text, len(set(base)), self.span_from(base_kw))
             interp: dict[str, dict[tuple[str, ...], str]] = {}
             while self.at("interp"):
                 self.advance()
@@ -796,6 +774,23 @@ def _term_ok(vocab: Vocabulary, term: Term) -> str | None:
     return None
 
 
+def _reaches_cycle(name: str, refs: dict[str, set[str]], seen: dict[str, int]) -> bool:
+    """Whether the reply references from template name run into a cycle.
+
+    Depth first; seen maps a template to 1 while its references are walked
+    and to 2 once they are done, and is shared between calls.  A module-level
+    function, so that no closure refers to itself and validating a spec
+    leaves no reference cycle behind.
+    """
+    state = seen.get(name, 0)
+    if state:
+        return state == 1
+    seen[name] = 1
+    cyclic = any(_reaches_cycle(dep, refs, seen) for dep in sorted(refs.get(name, ())))
+    seen[name] = 2
+    return cyclic
+
+
 def validate_spec(spec: AlgorithmSpec, *, strict: bool = False) -> list[SpecDiagnostic]:
     """Static checks beyond the grammar; empty (or warnings only) means usable."""
     out: list[SpecDiagnostic] = []
@@ -852,20 +847,8 @@ def validate_spec(spec: AlgorithmSpec, *, strict: bool = False) -> list[SpecDiag
         refs[t.name or ""] = needed
     # reply references between templates must be acyclic
     seen: dict[str, int] = {}
-
-    def visit(name: str) -> bool:
-        state = seen.get(name, 0)
-        if state == 1:
-            return False
-        if state == 2:
-            return True
-        seen[name] = 1
-        ok = all(visit(dep) for dep in sorted(refs.get(name, ())))
-        seen[name] = 2
-        return ok
-
     for t in spec.templates:
-        if t.name and not visit(t.name):
+        if t.name and _reaches_cycle(t.name, refs, seen):
             err("template-cycle", f"template {t.name!r} reaches itself through reply references", t.span)
             break
 

@@ -12,7 +12,7 @@ ends the step as a Hang.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Protocol, Sequence, TextIO
+from typing import Callable, Mapping, Protocol, Sequence, TextIO
 
 from .errors import EngineError
 from .history import (
@@ -292,19 +292,6 @@ def _parse_phase_block(block: str, lineno: int) -> Batch:
             raise ExecutionError(f"script line {lineno}: {format_query(q)} answered twice")
         batch[q] = reply
     return batch
-
-
-def format_script(items: Iterable[Batch | Stall]) -> str:
-    lines = []
-    for item in items:
-        if isinstance(item, Stall):
-            lines.append("stall")
-        else:
-            body = " ; ".join(
-                f"{format_query(q)} -> {r}" for q, r in sorted(item.items(), key=lambda kv: query_sort_key(kv[0]))
-            )
-            lines.append("phase { " + body + " }")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # --- Trace rendering -------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NoReturn
+from typing import Mapping, NoReturn
 
 from .errors import EngineError
 
@@ -38,18 +38,6 @@ class OverlappingDomain(HistoryError):
 
 class EmptyBatch(HistoryError):
     """An appended batch must answer at least one query."""
-
-
-class PreconditionViolation(HistoryError):
-    """A caller obligation did not hold."""
-
-
-class CapExceeded(HistoryError):
-    """Completion did not converge within the round cap."""
-
-    def __init__(self, cap: int):
-        super().__init__(f"pending queries remain after {cap} completion rounds")
-        self.cap = cap
 
 
 class LiteralSyntaxError(HistoryError):
@@ -242,19 +230,9 @@ def initial_segments(xi: History) -> list[History]:
     return [prefix(xi, k) for k in range(xi.length + 1)]
 
 
-def is_initial_segment(eta: History, xi: History) -> bool:
-    """True when eta is a down-closed, simultaneity-closed restriction of xi."""
-    return eta.length <= xi.length and prefix(xi, eta.length) == eta
-
-
 def restrict_before(xi: History, q: Query) -> History:
     """The initial segment of entries strictly earlier than q's phase."""
     return prefix(xi, xi.phase_of(q))
-
-
-def restrict_upto(xi: History, q: Query) -> History:
-    """The initial segment of entries at or before q's phase."""
-    return prefix(xi, xi.phase_of(q) + 1)
 
 
 def append_class(xi: History, batch: AnswerFunction) -> History:
@@ -270,40 +248,6 @@ def append_class(xi: History, batch: AnswerFunction) -> History:
         sorted(((q, batch[q], phase) for q in batch), key=lambda row: query_sort_key(row[0]))
     )
     return History(rows)
-
-
-def common_prefix_comparable(xi1: History, xi2: History, xi: History) -> bool:
-    """Two initial segments of one history are always comparable; asserts that."""
-    if not is_initial_segment(xi1, xi) or not is_initial_segment(xi2, xi):
-        raise PreconditionViolation("both arguments must be initial segments of the third")
-    return is_initial_segment(xi1, xi2) or is_initial_segment(xi2, xi1)
-
-
-def complete_history(
-    issued_fn: Callable[[History], Iterable[Query]],
-    xi: History,
-    chooser: Callable[[frozenset[Query]], AnswerFunction],
-    cap: int,
-) -> History:
-    """Extend a coherent history phase by phase until nothing is pending.
-
-    Each round appends the chooser's replies to all currently pending queries
-    as one simultaneity class.  Raises CapExceeded when pending queries remain
-    after `cap` rounds, which signals an unbounded rule system.
-    """
-    current = xi
-    rounds = 0
-    while True:
-        missing = frozenset(issued_fn(current)) - current.domain
-        if not missing:
-            return current
-        if rounds >= cap:
-            raise CapExceeded(cap)
-        batch = dict(chooser(missing))
-        if set(batch) != set(missing):
-            raise PreconditionViolation("chooser must answer exactly the pending queries")
-        current = append_class(current, batch)
-        rounds += 1
 
 
 def history_sort_key(xi: History) -> tuple:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Mapping
 
 from .errors import EngineError
 from .history import Elem, History, Label, Query, mk_history
-from .structure import Location, Structure, Update
+from .structure import FALSE, TRUE, UNDEF, Location, Structure, Update, _canonical
 
 
 class ElementNotInDomain(EngineError):
@@ -62,20 +61,15 @@ def check_isomorphism(mapping: Mapping[str, str] | Isomorphism, x: Structure, y:
         return False
     if sorted(m.values()) != list(y.base):
         return False
-    for d in x.vocab.symbols:
-        for args in product(x.base, repeat=d.arity):
-            if m[x.value(d.name, args)] != y.value(d.name, tuple(m[a] for a in args)):
-                return False
-    return True
+    return _on_structure(Isomorphism.of(m), x) == y
 
 
 def _on_structure(iso: Isomorphism, x: Structure) -> Structure:
-    tables = {
-        name: {iso.map_tuple(args): iso.map_element(v) for args, v in entries}
-        for name, entries in x.tables
-    }
-    frozen = tuple((name, tuple(sorted(tab.items()))) for name, tab in sorted(tables.items()))
-    return Structure(x.vocab, tuple(sorted(iso.map_element(e) for e in x.base)), frozen)
+    interp = {name: {iso.map_tuple(args): iso.map_element(v) for args, v in entries} for name, entries in x.tables}
+    # every default but the designated constants' commutes with a bijection
+    for name in (TRUE, FALSE, UNDEF):
+        interp.setdefault(name, {(): iso.map_element(x.value(name))})
+    return _canonical(x.vocab, tuple(sorted(iso.map_element(e) for e in x.base)), interp)
 
 
 def _on_query(iso: Isomorphism, q: Query) -> Query:

@@ -5,13 +5,19 @@ a finite base set of opaque element identifiers.  The element order used for
 iteration and reporting is the lexicographic one; it carries no semantic
 weight.  Every vocabulary contains the logic names (true, false, undef,
 Boole, eq, not, and, or) whose interpretations follow fixed conventions.
+
+A structure stores only the entries that differ from their defaults and
+derives the others when read.  With t, f and u the elements that true, false
+and undef denote: true, false and undef default to the same-named elements;
+Boole, eq, not, and, or to the conventions over t and f; every other entry
+to f for a relational symbol and to u otherwise.  So no code builds a table
+of |base|^arity entries, however large the arity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Iterable, Iterator, Mapping
 
 from .errors import EngineError
@@ -175,7 +181,15 @@ Interp = Mapping[str, Mapping[tuple[str, ...], str]]
 
 @dataclass(frozen=True)
 class Structure:
-    """An immutable total interpretation of a vocabulary over a finite base."""
+    """An immutable total interpretation of a vocabulary over a finite base.
+
+    `base` is sorted.  `tables` lists, per symbol in name order, only the
+    entries (argument tuple, value) that differ from their defaults, sorted
+    by arguments; a symbol with none is left out.  `value` derives every
+    other entry.  Build structures with `Structure.make`, which puts them in
+    this canonical form, so `==` and `hash` mean "interprets every symbol
+    alike".
+    """
 
     vocab: Vocabulary
     base: tuple[str, ...]
@@ -191,19 +205,15 @@ class Structure:
 
     @staticmethod
     def make(vocab: Vocabulary, base: Iterable[str], interp: Interp | None = None) -> Structure:
-        """Build a structure, deriving logic tables and defaulting unlisted entries.
+        """Build a structure from explicit entries; every unlisted entry takes its default.
 
-        Logic constants default to the same-named base elements; Boole, eq
-        and the connectives are derived from them per the conventions.
-        Unlisted entries of other symbols default to false (relational
-        symbols) or undef.  Explicit entries override anything, including
-        derived logic tables, so deliberately non-conforming structures can
-        be built and then caught by validate_structure.
+        Explicit entries override anything, including the logic conventions,
+        so deliberately non-conforming structures can be built and then
+        caught by validate_structure.
         """
-        elems = tuple(sorted(set(base)))
+        elems = frozenset(base)
         if not elems:
             raise StructureError("base set must be nonempty")
-        eset = frozenset(elems)
         given: dict[str, dict[tuple[str, ...], str]] = {}
         for fname, entries in (interp or {}).items():
             decl = vocab.decl(fname)
@@ -214,30 +224,10 @@ class Structure:
                         f"interpretation entry for {fname!r} has {len(args)} arguments, arity is {decl.arity}"
                     )
                 for e in (*args, value):
-                    if e not in eset:
+                    if e not in elems:
                         raise StructureError(f"element {e!r} in entry for {fname!r} is not in the base set")
                 given.setdefault(fname, {})[args] = value
-
-        def designated(name: str) -> str:
-            if name in given and () in given[name]:
-                return given[name][()]
-            if name in eset:
-                return name
-            raise StructureError(f"no interpretation for {name!r} and no same-named base element")
-
-        t, f, u = designated(TRUE), designated(FALSE), designated(UNDEF)
-        tables = _derived_logic_tables(elems, t, f, u)
-        for d in vocab.symbols:
-            tab = tables.get(d.name)
-            if tab is None:
-                default = f if d.relational else u
-                tab = {args: default for args in product(elems, repeat=d.arity)}
-                tables[d.name] = tab
-            tab.update(given.get(d.name, {}))
-        frozen = tuple(
-            (name, tuple(sorted(tab.items()))) for name, tab in sorted(tables.items())
-        )
-        return Structure(vocab, elems, frozen)
+        return _canonical(vocab, tuple(sorted(elems)), given)
 
     @cached_property
     def _lookup(self) -> dict[str, dict[tuple[str, ...], str]]:
@@ -252,48 +242,77 @@ class Structure:
         args = tuple(args)
         if len(args) != decl.arity:
             raise ArityMismatch(f"{symbol!r} applied to {len(args)} arguments, arity is {decl.arity}")
-        try:
-            return self._lookup[symbol][args]
-        except KeyError:
-            missing = [e for e in args if e not in self.elements]
-            raise StructureError(f"arguments {missing!r} to {symbol!r} are not in the base set") from None
+        listed = self._lookup.get(symbol)
+        if listed is not None and args in listed:
+            return listed[args]
+        missing = [e for e in args if e not in self.elements]
+        if missing:
+            raise StructureError(f"arguments {missing!r} to {symbol!r} are not in the base set")
+        return _default(symbol, args, decl.relational, self.true_el, self.false_el, self.undef_el)
 
-    @property
+    @cached_property
     def true_el(self) -> str:
-        return self.value(TRUE)
+        return self._lookup.get(TRUE, {}).get((), TRUE)
 
-    @property
+    @cached_property
     def false_el(self) -> str:
-        return self.value(FALSE)
+        return self._lookup.get(FALSE, {}).get((), FALSE)
 
-    @property
+    @cached_property
     def undef_el(self) -> str:
-        return self.value(UNDEF)
+        return self._lookup.get(UNDEF, {}).get((), UNDEF)
 
     def __repr__(self) -> str:
-        return f"Structure(base={list(self.base)!r}, symbols={len(self.tables)})"
+        return f"Structure(base={list(self.base)!r}, symbols={len(self.vocab.symbols)})"
 
 
-def _derived_logic_tables(elems: tuple[str, ...], t: str, f: str, u: str) -> dict[str, dict[tuple[str, ...], str]]:
-    bools = (t, f)
+# Boole and the classical connectives at arguments in {t, f}; at any other argument they give f.
+_CONNECTIVES = {
+    BOOLE: lambda t, a: True,
+    NOT: lambda t, a: a != t,
+    AND: lambda t, a, b: a == t and b == t,
+    OR: lambda t, a, b: a == t or b == t,
+}
 
-    def binary(op) -> dict[tuple[str, ...], str]:
-        return {
-            (x, y): (t if op(x == t, y == t) else f) if x in bools and y in bools else f
-            for x in elems
-            for y in elems
-        }
 
-    return {
-        TRUE: {(): t},
-        FALSE: {(): f},
-        UNDEF: {(): u},
-        BOOLE: {(x,): t if x in bools else f for x in elems},
-        EQ: {(x, y): t if x == y else f for x in elems for y in elems},
-        NOT: {(x,): (f if x == t else t) if x in bools else f for x in elems},
-        AND: binary(lambda a, b: a and b),
-        OR: binary(lambda a, b: a or b),
-    }
+def _default(symbol: str, args: tuple[str, ...], relational: bool, t: str, f: str, u: str) -> str:
+    """The value of an entry that a structure with designated elements t, f, u does not list."""
+    if symbol in (TRUE, FALSE, UNDEF):
+        return symbol
+    if symbol == EQ:
+        return t if args[0] == args[1] else f
+    rule = _CONNECTIVES.get(symbol)
+    if rule is not None:
+        return t if all(a == t or a == f for a in args) and rule(t, *args) else f
+    return f if relational else u
+
+
+def _canonical(vocab: Vocabulary, base: tuple[str, ...], interp: Interp) -> Structure:
+    """The structure over a sorted base that gives interp's entries and the defaults elsewhere.
+
+    Every structure is built here: an entry equal to its default is dropped,
+    so equal interpretations get equal fields.  The caller has checked the
+    entries against the vocabulary and the base.
+    """
+
+    def designated(name: str) -> str:
+        value = interp.get(name, {}).get(())
+        if value is not None:
+            return value
+        if name in base:
+            return name
+        raise StructureError(f"no interpretation for {name!r} and no same-named base element")
+
+    t, f, u = designated(TRUE), designated(FALSE), designated(UNDEF)
+    tables = []
+    for name in sorted(interp):
+        relational = vocab.decl(name).relational
+        kept = tuple(
+            sorted((args, v) for args, v in interp[name].items() if v != _default(name, args, relational, t, f, u))
+        )
+        if kept:
+            tables.append((name, kept))
+    return Structure(vocab, base, tuple(tables))
 
 
 # --- Validation -------------------------------------------------------------
@@ -309,8 +328,20 @@ class StructureIssue:
     message: str
 
 
+_CONVENTION_CODES = {
+    BOOLE: "boole-convention",
+    EQ: "equality-convention",
+    NOT: "connective-convention",
+    AND: "connective-convention",
+    OR: "connective-convention",
+}
+
+
 def validate_structure(vocab: Vocabulary, x: Structure) -> list[StructureIssue]:
-    """Check every structure convention; an empty list means all hold."""
+    """Check every structure convention; an empty list means all hold.
+
+    A default entry keeps every convention, so only listed entries are read.
+    """
     issues: list[StructureIssue] = []
     if x.vocab != vocab:
         issues.append(StructureIssue("vocabulary", None, (), "structure built over a different vocabulary"))
@@ -325,39 +356,23 @@ def validate_structure(vocab: Vocabulary, x: Structure) -> list[StructureIssue]:
                 StructureIssue("distinctness", a, (), f"{a} and {b} denote the same element {x.value(a)!r}")
             )
     bools = {t, f}
-    expected = _derived_logic_tables(x.base, t, f, u)
-    for d in vocab.symbols:
-        if d.relational:
-            for args in product(x.base, repeat=d.arity):
-                v = x.value(d.name, args)
+    for name, entries in x.tables:
+        if vocab.decl(name).relational:
+            for args, v in entries:
                 if v not in bools:
                     issues.append(
                         StructureIssue(
                             "relational-range",
-                            d.name,
+                            name,
                             args,
-                            f"relational symbol {d.name!r} yields non-boolean {v!r} at {args!r}",
+                            f"relational symbol {name!r} yields non-boolean {v!r} at {args!r}",
                         )
                     )
-    for name, code in ((BOOLE, "boole-convention"), (EQ, "equality-convention")):
-        for args, want in expected[name].items():
-            got = x.value(name, args)
-            if got != want:
-                issues.append(
-                    StructureIssue(code, name, args, f"{name} at {args!r} is {got!r}, convention requires {want!r}")
-                )
-    for name in (NOT, AND, OR):
-        for args, want in expected[name].items():
-            got = x.value(name, args)
-            if got != want:
-                issues.append(
-                    StructureIssue(
-                        "connective-convention",
-                        name,
-                        args,
-                        f"{name} at {args!r} is {got!r}, convention requires {want!r}",
-                    )
-                )
+    listed = dict(x.tables)
+    for name, code in _CONVENTION_CODES.items():
+        for args, got in listed.get(name, ()):
+            want = _default(name, args, True, t, f, u)
+            issues.append(StructureIssue(code, name, args, f"{name} at {args!r} is {got!r}, convention requires {want!r}"))
     return issues
 
 
@@ -414,22 +429,6 @@ def update_sort_key(u: Update) -> tuple:
     return (u.location.symbol, u.location.args, u.value)
 
 
-def location_value(x: Structure, loc: Location) -> str:
-    return x.value(loc.symbol, loc.args)
-
-
-def is_trivial(x: Structure, u: Update) -> bool:
-    """An update is trivial when it assigns the location its current value."""
-    return location_value(x, u.location) == u.value
-
-
-def all_locations(x: Structure) -> Iterator[Location]:
-    """Every location of the structure (dynamic symbols only), in canonical order."""
-    for d in x.vocab.dynamic_symbols:
-        for args in product(x.base, repeat=d.arity):
-            yield Location(d.name, args)
-
-
 def detect_clash(updates: Iterable[Update]) -> Location | None:
     """Return the first (in canonical update order) location assigned two values."""
     ordered = sorted(set(updates), key=update_sort_key)
@@ -456,7 +455,10 @@ def _check_update(x: Structure, u: Update) -> None:
 
 
 def apply_updates(x: Structure, updates: Iterable[Update]) -> Structure:
-    """Apply a clash-free update set, returning a fresh structure on the same base."""
+    """Apply a clash-free update set, returning a fresh structure on the same base.
+
+    An update back to a location's default removes its entry.
+    """
     ups = frozenset(updates)
     for u in ups:
         _check_update(x, u)
@@ -465,36 +467,18 @@ def apply_updates(x: Structure, updates: Iterable[Update]) -> Structure:
         raise ClashError(loc)
     if not ups:
         return x
-    new_tables = {name: dict(entries) for name, entries in x.tables}
+    interp = {name: dict(entries) for name, entries in x.tables}
     for u in ups:
-        new_tables[u.location.symbol][u.location.args] = u.value
-    frozen = tuple((name, tuple(sorted(tab.items()))) for name, tab in sorted(new_tables.items()))
-    return Structure(x.vocab, x.base, frozen)
+        interp.setdefault(u.location.symbol, {})[u.location.args] = u.value
+    return _canonical(x.vocab, x.base, interp)
 
 
 # --- Structure file format --------------------------------------------------
 
 
 def canonical_interp_entries(x: Structure) -> list[tuple[str, tuple[str, ...], str]]:
-    """Interpretation entries that differ from the derivable defaults, sorted."""
-    t, f, u = x.true_el, x.false_el, x.undef_el
-    expected = _derived_logic_tables(x.base, t, f, u)
-    for name in (TRUE, FALSE, UNDEF):
-        # designated constants default to the same-named element
-        expected[name] = {(): name}
-    out: list[tuple[str, tuple[str, ...], str]] = []
-    for name, entries in x.tables:
-        decl = x.vocab.decl(name)
-        exp = expected.get(name)
-        for args, value in entries:
-            if exp is not None:
-                want = exp.get(args)
-            else:
-                want = f if decl.relational else u
-            if value != want:
-                out.append((name, args, value))
-    out.sort()
-    return out
+    """Interpretation entries that differ from their defaults, sorted: the stored ones."""
+    return [(name, args, value) for name, entries in x.tables for args, value in entries]
 
 
 def format_symbol_decl(d: SymbolDecl) -> str:
@@ -517,22 +501,6 @@ def format_structure(x: Structure) -> str:
 _IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
 
-MAX_TABLE = 100_000  # entries of one symbol's table in one state
-
-
-def _table_exceeds(n: int, arity: int) -> bool:
-    """Whether n^arity > MAX_TABLE, without computing a huge power.
-
-    A base of one element counts as two, so that the arity alone is bounded too.
-    """
-    size = 1
-    for _ in range(arity):
-        size *= max(n, 2)
-        if size > MAX_TABLE:
-            return True
-    return False
-
-
 def _ident(tok: str, lineno: int) -> str:
     if not tok or tok[0].isdigit() or any(c not in _IDENT_OK for c in tok):
         raise StructureError(f"line {lineno}: {tok!r} is not a valid identifier")
@@ -540,16 +508,9 @@ def _ident(tok: str, lineno: int) -> str:
 
 
 def parse_structure(text: str) -> Structure:
-    """Parse the line-oriented structure format produced by format_structure.
-
-    A declaration whose table over the base would exceed MAX_TABLE entries
-    (|base|^arity) is rejected, naming its line, before any table is built;
-    the binary logic tables (|base|^2) are charged to the base line.
-    """
+    """Parse the line-oriented structure format produced by format_structure."""
     base: tuple[str, ...] | None = None
-    base_line = 0
     decls: list[SymbolDecl] = []
-    decl_lines: list[int] = []
     raw_entries: list[tuple[int, str, tuple[str, ...], str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -562,7 +523,6 @@ def parse_structure(text: str) -> Structure:
             if len(words) < 2:
                 raise StructureError(f"line {lineno}: base line lists no elements")
             base = tuple(_ident(w, lineno) for w in words[1:])
-            base_line = lineno
         elif words[0] in ("static", "dynamic", "relational"):
             static = words[0] == "static"
             relational = words[0] == "relational"
@@ -576,7 +536,6 @@ def parse_structure(text: str) -> Structure:
             if not (arity_text.isascii() and arity_text.isdigit()):
                 raise StructureError(f"line {lineno}: arity {arity_text!r} is not a natural number")
             decls.append(SymbolDecl(_ident(name, lineno), int(arity_text), static=static, relational=relational))
-            decl_lines.append(lineno)
         elif words[0] == "interp":
             lp, rp = line.find("("), line.find(")")
             if lp < 0 or rp < lp or "=" not in line[rp:]:
@@ -589,17 +548,6 @@ def parse_structure(text: str) -> Structure:
             raise StructureError(f"line {lineno}: unrecognized directive {words[0]!r}")
     if base is None:
         raise StructureError("structure text has no base line")
-    n = len(set(base))
-    for lineno, d in zip(decl_lines, decls):
-        if _table_exceeds(n, d.arity):
-            raise StructureError(
-                f"line {lineno}: symbol {d.name!r} of arity {d.arity} needs {n}^{d.arity} table entries, "
-                f"more than {MAX_TABLE}"
-            )
-    if _table_exceeds(n, 2):
-        raise StructureError(
-            f"line {base_line}: a base of {n} elements needs {n}^2 entries per logic table, more than {MAX_TABLE}"
-        )
     vocab = Vocabulary.make(decls)
     interp: dict[str, dict[tuple[str, ...], str]] = {}
     for lineno, name, args, value in raw_entries:

@@ -14,6 +14,18 @@ directly, with no memo: every template is instantiated again at each use,
 and `issued` is the union of `causes` over all initial segments.  They check
 `interstep.model.Evaluator`.
 
+`DenseStructure` is the former representation of a structure: `make` fills
+every symbol's table of |base|^arity entries, the logic tables derived in
+full, and `dense_apply_updates`, `dense_transport`, `dense_validate_structure`
+and `dense_check_isomorphism` walk those tables.  They check the sparse
+`interstep.structure.Structure`.  `all_locations`, `location_value` and
+`is_trivial` read any structure.
+
+`is_initial_segment`, `restrict_upto`, `common_prefix_comparable` and
+`complete_history` (with the `PreconditionViolation` and `CapExceeded` it
+raises) are history helpers, and `format_script` prints a script that
+`interstep.execution.parse_script` reads; the tests are their only users.
+
 `reference_tokenize` is the character-by-character lexer the regex lexer of
 `interstep.dsl` replaced, kept unchanged with its frozen `ReferenceToken`
 (it read `str.isdigit`, so it took non-ASCII digits for a numeral; the regex
@@ -23,6 +35,9 @@ lexer rejects them).  `reference_parse_spec` runs the parser on its tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
+from typing import Callable, Iterable, Iterator
 
 from interstep.analysis import (
     EnumerationConfig,
@@ -33,7 +48,23 @@ from interstep.analysis import (
     weak_equivalent,
 )
 from interstep.dsl import _KEYWORDS, DslSyntaxError, Token, _Parser
-from interstep.history import Elem, History, Label, Query, format_history, history_sort_key, initial_segments
+from interstep.execution import Batch, Stall
+from interstep.history import (
+    AnswerFunction,
+    Elem,
+    History,
+    HistoryError,
+    Label,
+    Query,
+    append_class,
+    format_history,
+    format_query,
+    history_sort_key,
+    initial_segments,
+    prefix,
+    query_sort_key,
+)
+from interstep.isomorphism import Isomorphism
 from interstep.model import (
     NOT_FINAL,
     SUCCESS,
@@ -61,11 +92,26 @@ from interstep.model import (
 )
 from interstep.spans import Span
 from interstep.structure import (
+    AND,
+    BOOLE,
+    EQ,
+    FALSE,
+    NOT,
+    OR,
+    TRUE,
+    UNDEF,
+    ArityMismatch,
+    ClashError,
+    Interp,
     Location,
     Structure,
+    StructureError,
+    StructureIssue,
     Term,
     Update,
     Var,
+    Vocabulary,
+    _check_update,
     detect_clash,
     eval_term,
     format_location,
@@ -73,12 +119,26 @@ from interstep.structure import (
 )
 
 __all__ = [
+    "CapExceeded",
+    "DenseStructure",
+    "PreconditionViolation",
     "agreement_property",
     "all_bounded_histories",
+    "all_locations",
     "brute_force_attainable",
     "brute_force_coherent",
     "brute_force_step_a",
+    "common_prefix_comparable",
+    "complete_history",
+    "dense_apply_updates",
+    "dense_check_isomorphism",
+    "dense_transport",
+    "dense_validate_structure",
+    "format_script",
     "holds",
+    "is_initial_segment",
+    "is_trivial",
+    "location_value",
     "query_universe",
     "reference_causes",
     "reference_issued",
@@ -86,6 +146,7 @@ __all__ = [
     "reference_tokenize",
     "reference_update_set",
     "reference_verdict",
+    "restrict_upto",
 ]
 
 
@@ -343,3 +404,288 @@ def reference_parse_spec(text: str) -> AlgorithmSpec:
     """parse_spec on the reference lexer's tokens."""
     tokens = [Token(t.kind, t.text, t.span.line, t.span.column, t.span.start, t.span.end) for t in reference_tokenize(text)]
     return _Parser(tokens).parse_spec()
+
+
+# --- Dense structures -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DenseStructure:
+    """A structure that stores every entry of every symbol's table."""
+
+    vocab: Vocabulary
+    base: tuple[str, ...]
+    tables: tuple[tuple[str, tuple[tuple[tuple[str, ...], str], ...]], ...]
+
+    @staticmethod
+    def make(vocab: Vocabulary, base: Iterable[str], interp: Interp | None = None) -> DenseStructure:
+        """Derive the logic tables, default the unlisted entries, then apply the explicit ones."""
+        elems = tuple(sorted(set(base)))
+        if not elems:
+            raise StructureError("base set must be nonempty")
+        eset = frozenset(elems)
+        given: dict[str, dict[tuple[str, ...], str]] = {}
+        for fname, entries in (interp or {}).items():
+            decl = vocab.decl(fname)
+            for args, value in entries.items():
+                args = tuple(args)
+                if len(args) != decl.arity:
+                    raise ArityMismatch(
+                        f"interpretation entry for {fname!r} has {len(args)} arguments, arity is {decl.arity}"
+                    )
+                for e in (*args, value):
+                    if e not in eset:
+                        raise StructureError(f"element {e!r} in entry for {fname!r} is not in the base set")
+                given.setdefault(fname, {})[args] = value
+
+        def designated(name: str) -> str:
+            if name in given and () in given[name]:
+                return given[name][()]
+            if name in eset:
+                return name
+            raise StructureError(f"no interpretation for {name!r} and no same-named base element")
+
+        t, f, u = designated(TRUE), designated(FALSE), designated(UNDEF)
+        tables = derived_logic_tables(elems, t, f, u)
+        for d in vocab.symbols:
+            tab = tables.get(d.name)
+            if tab is None:
+                default = f if d.relational else u
+                tab = {args: default for args in product(elems, repeat=d.arity)}
+                tables[d.name] = tab
+            tab.update(given.get(d.name, {}))
+        return DenseStructure(vocab, elems, _freeze(tables))
+
+    @cached_property
+    def _lookup(self) -> dict[str, dict[tuple[str, ...], str]]:
+        return {name: dict(entries) for name, entries in self.tables}
+
+    @cached_property
+    def elements(self) -> frozenset[str]:
+        return frozenset(self.base)
+
+    def value(self, symbol: str, args: Iterable[str] = ()) -> str:
+        decl = self.vocab.decl(symbol)
+        args = tuple(args)
+        if len(args) != decl.arity:
+            raise ArityMismatch(f"{symbol!r} applied to {len(args)} arguments, arity is {decl.arity}")
+        try:
+            return self._lookup[symbol][args]
+        except KeyError:
+            missing = [e for e in args if e not in self.elements]
+            raise StructureError(f"arguments {missing!r} to {symbol!r} are not in the base set") from None
+
+    @property
+    def true_el(self) -> str:
+        return self.value(TRUE)
+
+    @property
+    def false_el(self) -> str:
+        return self.value(FALSE)
+
+    @property
+    def undef_el(self) -> str:
+        return self.value(UNDEF)
+
+
+def _freeze(tables: dict[str, dict[tuple[str, ...], str]]) -> tuple:
+    return tuple((name, tuple(sorted(tab.items()))) for name, tab in sorted(tables.items()))
+
+
+def derived_logic_tables(elems: tuple[str, ...], t: str, f: str, u: str) -> dict[str, dict[tuple[str, ...], str]]:
+    bools = (t, f)
+
+    def binary(op) -> dict[tuple[str, ...], str]:
+        return {
+            (x, y): (t if op(x == t, y == t) else f) if x in bools and y in bools else f
+            for x in elems
+            for y in elems
+        }
+
+    return {
+        TRUE: {(): t},
+        FALSE: {(): f},
+        UNDEF: {(): u},
+        BOOLE: {(x,): t if x in bools else f for x in elems},
+        EQ: {(x, y): t if x == y else f for x in elems for y in elems},
+        NOT: {(x,): (f if x == t else t) if x in bools else f for x in elems},
+        AND: binary(lambda a, b: a and b),
+        OR: binary(lambda a, b: a or b),
+    }
+
+
+def dense_apply_updates(x: DenseStructure, updates: Iterable[Update]) -> DenseStructure:
+    ups = frozenset(updates)
+    for u in ups:
+        _check_update(x, u)
+    loc = detect_clash(ups)
+    if loc is not None:
+        raise ClashError(loc)
+    if not ups:
+        return x
+    new_tables = {name: dict(entries) for name, entries in x.tables}
+    for u in ups:
+        new_tables[u.location.symbol][u.location.args] = u.value
+    return DenseStructure(x.vocab, x.base, _freeze(new_tables))
+
+
+def dense_transport(iso: Isomorphism, x: DenseStructure) -> DenseStructure:
+    tables = {
+        name: {iso.map_tuple(args): iso.map_element(v) for args, v in entries}
+        for name, entries in x.tables
+    }
+    return DenseStructure(x.vocab, tuple(sorted(iso.map_element(e) for e in x.base)), _freeze(tables))
+
+
+def dense_check_isomorphism(mapping: dict[str, str], x: DenseStructure, y: DenseStructure) -> bool:
+    m = dict(mapping)
+    if x.vocab != y.vocab:
+        return False
+    if set(m) != set(x.base):
+        return False
+    if sorted(m.values()) != list(y.base):
+        return False
+    for d in x.vocab.symbols:
+        for args in product(x.base, repeat=d.arity):
+            if m[x.value(d.name, args)] != y.value(d.name, tuple(m[a] for a in args)):
+                return False
+    return True
+
+
+def dense_validate_structure(vocab: Vocabulary, x: DenseStructure) -> list[StructureIssue]:
+    issues: list[StructureIssue] = []
+    if x.vocab != vocab:
+        issues.append(StructureIssue("vocabulary", None, (), "structure built over a different vocabulary"))
+        return issues
+    if not x.base:
+        issues.append(StructureIssue("base", None, (), "base set is empty"))
+        return issues
+    t, f, u = x.true_el, x.false_el, x.undef_el
+    for a, b in ((TRUE, FALSE), (TRUE, UNDEF), (FALSE, UNDEF)):
+        if x.value(a) == x.value(b):
+            issues.append(
+                StructureIssue("distinctness", a, (), f"{a} and {b} denote the same element {x.value(a)!r}")
+            )
+    bools = {t, f}
+    expected = derived_logic_tables(x.base, t, f, u)
+    for d in vocab.symbols:
+        if d.relational:
+            for args in product(x.base, repeat=d.arity):
+                v = x.value(d.name, args)
+                if v not in bools:
+                    issues.append(
+                        StructureIssue(
+                            "relational-range",
+                            d.name,
+                            args,
+                            f"relational symbol {d.name!r} yields non-boolean {v!r} at {args!r}",
+                        )
+                    )
+    for name, code in ((BOOLE, "boole-convention"), (EQ, "equality-convention")):
+        for args, want in expected[name].items():
+            got = x.value(name, args)
+            if got != want:
+                issues.append(
+                    StructureIssue(code, name, args, f"{name} at {args!r} is {got!r}, convention requires {want!r}")
+                )
+    for name in (NOT, AND, OR):
+        for args, want in expected[name].items():
+            got = x.value(name, args)
+            if got != want:
+                issues.append(
+                    StructureIssue(
+                        "connective-convention",
+                        name,
+                        args,
+                        f"{name} at {args!r} is {got!r}, convention requires {want!r}",
+                    )
+                )
+    return issues
+
+
+def location_value(x: Structure | DenseStructure, loc: Location) -> str:
+    return x.value(loc.symbol, loc.args)
+
+
+def is_trivial(x: Structure | DenseStructure, u: Update) -> bool:
+    """An update is trivial when it assigns the location its current value."""
+    return location_value(x, u.location) == u.value
+
+
+def all_locations(x: Structure | DenseStructure) -> Iterator[Location]:
+    """Every location of the structure (dynamic symbols only), in canonical order."""
+    for d in x.vocab.dynamic_symbols:
+        for args in product(x.base, repeat=d.arity):
+            yield Location(d.name, args)
+
+
+# --- History and script helpers ---------------------------------------------------
+
+
+class PreconditionViolation(HistoryError):
+    """A caller obligation did not hold."""
+
+
+class CapExceeded(HistoryError):
+    """Completion did not converge within the round cap."""
+
+    def __init__(self, cap: int):
+        super().__init__(f"pending queries remain after {cap} completion rounds")
+        self.cap = cap
+
+
+def is_initial_segment(eta: History, xi: History) -> bool:
+    """True when eta is a down-closed, simultaneity-closed restriction of xi."""
+    return eta.length <= xi.length and prefix(xi, eta.length) == eta
+
+
+def restrict_upto(xi: History, q: Query) -> History:
+    """The initial segment of entries at or before q's phase."""
+    return prefix(xi, xi.phase_of(q) + 1)
+
+
+def common_prefix_comparable(xi1: History, xi2: History, xi: History) -> bool:
+    """Two initial segments of one history are always comparable; asserts that."""
+    if not is_initial_segment(xi1, xi) or not is_initial_segment(xi2, xi):
+        raise PreconditionViolation("both arguments must be initial segments of the third")
+    return is_initial_segment(xi1, xi2) or is_initial_segment(xi2, xi1)
+
+
+def complete_history(
+    issued_fn: Callable[[History], Iterable[Query]],
+    xi: History,
+    chooser: Callable[[frozenset[Query]], AnswerFunction],
+    cap: int,
+) -> History:
+    """Extend a coherent history phase by phase until nothing is pending.
+
+    Each round appends the chooser's replies to all currently pending queries
+    as one simultaneity class.  Raises CapExceeded when pending queries remain
+    after `cap` rounds, which signals an unbounded rule system.
+    """
+    current = xi
+    rounds = 0
+    while True:
+        missing = frozenset(issued_fn(current)) - current.domain
+        if not missing:
+            return current
+        if rounds >= cap:
+            raise CapExceeded(cap)
+        batch = dict(chooser(missing))
+        if set(batch) != set(missing):
+            raise PreconditionViolation("chooser must answer exactly the pending queries")
+        current = append_class(current, batch)
+        rounds += 1
+
+
+def format_script(items: Iterable[Batch | Stall]) -> str:
+    lines = []
+    for item in items:
+        if isinstance(item, Stall):
+            lines.append("stall")
+        else:
+            body = " ; ".join(
+                f"{format_query(q)} -> {r}" for q, r in sorted(item.items(), key=lambda kv: query_sort_key(kv[0]))
+            )
+            lines.append("phase { " + body + " }")
+    return "\n".join(lines) + ("\n" if lines else "")

@@ -21,7 +21,7 @@ from interstep.analysis import (
     weak_equivalent,
 )
 from interstep.dsl import parse_spec
-from interstep.history import EMPTY_HISTORY, initial_segments, is_initial_segment
+from interstep.history import EMPTY_HISTORY, initial_segments
 from interstep.model import Answered, And, IssueRule, Unanswered, is_attainable, verdict
 from oracle import (
     agreement_property,
@@ -29,6 +29,7 @@ from oracle import (
     brute_force_attainable,
     brute_force_coherent,
     brute_force_step_a,
+    is_initial_segment,
     query_universe,
 )
 

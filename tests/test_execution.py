@@ -11,7 +11,6 @@ from interstep.execution import (
     ExecutionError,
     InteractiveEnvironment,
     ScriptedEnvironment,
-    format_script,
     format_trace,
     parse_script,
     run,
@@ -20,6 +19,7 @@ from interstep.execution import (
 from interstep.history import EMPTY_HISTORY, append_class
 from interstep.model import is_attainable, is_coherent, verdict, causes
 from interstep.structure import update
+from oracle import format_script
 
 
 def scripted(*batches):

@@ -7,7 +7,6 @@ import pytest
 from conftest import h, lq
 from interstep.history import (
     EMPTY_HISTORY,
-    CapExceeded,
     DomainMismatch,
     EmptyBatch,
     History,
@@ -15,22 +14,25 @@ from interstep.history import (
     LiteralSyntaxError,
     NonContiguousPhases,
     OverlappingDomain,
-    PreconditionViolation,
     QueryNotInDomain,
     append_class,
-    common_prefix_comparable,
-    complete_history,
     format_history,
     format_query,
     initial_segments,
-    is_initial_segment,
     mk_history,
     parse_history,
     parse_query,
     restrict_before,
-    restrict_upto,
 )
 from interstep.model import issued
+from oracle import (
+    CapExceeded,
+    PreconditionViolation,
+    common_prefix_comparable,
+    complete_history,
+    is_initial_segment,
+    restrict_upto,
+)
 
 
 class TestMkHistory:

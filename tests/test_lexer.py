@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ROOT, SPECS
-from interstep.dsl import _KEYWORDS, MAX_TABLE, DslSyntaxError, parse_spec, print_spec, tokenize
+from interstep.dsl import _KEYWORDS, DslSyntaxError, parse_spec, print_spec, tokenize
+from interstep.structure import Structure
 from oracle import reference_parse_spec, reference_tokenize
 
 _specgen_module = importlib.util.spec_from_file_location("specgen", ROOT / "perfbench" / "specgen.py")
@@ -106,11 +107,18 @@ def test_corpus_parses_as_with_the_reference(text):
 
 
 @pytest.mark.parametrize("text", corpus())
-def test_corpus_is_far_below_the_table_bound(text):
-    # the shipped and benchmark specs; the largest table is broker_4's eq, 10^2 entries
+def test_corpus_states_store_only_non_default_entries(text):
+    # dropping any stored entry changes the state: none of them restates a default
     for sdef in parse_spec(text).states:
-        for _, table in sdef.structure.tables:
-            assert len(table) * 100 <= MAX_TABLE
+        x = sdef.structure
+        stored = [(name, args, value) for name, entries in x.tables for args, value in entries]
+        assert stored
+        for dropped in stored:
+            interp: dict[str, dict[tuple[str, ...], str]] = {}
+            for name, args, value in stored:
+                if (name, args, value) != dropped:
+                    interp.setdefault(name, {})[args] = value
+            assert Structure.make(x.vocab, x.base, interp) != x
 
 
 @pytest.mark.parametrize("text", corpus())

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import time
-from itertools import product
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from interstep import structure
 from interstep.history import Elem, Label, Query
 from interstep.isomorphism import (
     ElementNotInDomain,
@@ -18,7 +19,6 @@ from interstep.structure import (
     ArityMismatch,
     ClashError,
     Location,
-    MAX_TABLE,
     ReplyVar,
     Structure,
     StructureError,
@@ -26,16 +26,23 @@ from interstep.structure import (
     UnboundVariable,
     Var,
     Vocabulary,
-    all_locations,
     apply_updates,
     detect_clash,
     eval_term,
     format_structure,
-    is_trivial,
-    location_value,
     parse_structure,
     update,
     validate_structure,
+)
+from oracle import (
+    DenseStructure,
+    all_locations,
+    dense_apply_updates,
+    dense_check_isomorphism,
+    dense_transport,
+    dense_validate_structure,
+    is_trivial,
+    location_value,
 )
 
 
@@ -207,6 +214,12 @@ class TestApplyUpdates:
         y = apply_updates(x, {update("owner", (), "undef")})
         assert y == x
 
+    def test_update_back_to_the_default_removes_the_entry(self, x):
+        assert "owner" not in dict(x.tables)  # the fixture's explicit owner() = undef is the default
+        sold = apply_updates(x, {update("owner", (), "client0")})
+        assert dict(sold.tables)["owner"] == (((), "client0"),)
+        assert apply_updates(sold, {update("owner", (), "undef")}) == x
+
     def test_differs_exactly_on_nontrivial_locations(self, x):
         delta = frozenset({update("owner", (), "client1")})
         y = apply_updates(x, delta)
@@ -311,28 +324,13 @@ class TestStructureFile:
         with pytest.raises(StructureError, match="line 2: arity"):
             parse_structure(f"base false true undef\ndynamic r/{arity}\n")
 
-    def test_huge_arity_is_rejected_at_its_line(self):
-        # 8^6 entries took 0.2 s to build, and each further arity step costs 8x more
+    def test_arity_30_parses_at_once(self):
         start = time.perf_counter()
-        message = f"line 2: symbol 'r' of arity 30 needs 8\\^30 table entries, more than {MAX_TABLE}"
-        with pytest.raises(StructureError, match=message):
-            parse_structure("dynamic f/0\ndynamic r/30\nbase a b c d e false true undef\n")
+        x = parse_structure("dynamic f/0\ndynamic r/30\nbase a b c d e false true undef\ninterp r (" + "a " * 30 + ") = b\n")
         assert time.perf_counter() - start < 0.5
-
-    @pytest.mark.parametrize("arity, fits", [(2, True), (3, False)])
-    def test_table_bound_is_inclusive(self, monkeypatch, arity, fits):
-        monkeypatch.setattr(structure, "MAX_TABLE", 100)
-        text = f"base a b c d e f g false true undef\ndynamic r/{arity}\n"
-        if fits:
-            assert parse_structure(text).value("r", ["a"] * arity) == "undef"
-        else:
-            with pytest.raises(StructureError, match="line 2: .* 10\\^3 table entries"):
-                parse_structure(text)
-
-    def test_logic_tables_count_against_the_base_line(self, monkeypatch):
-        monkeypatch.setattr(structure, "MAX_TABLE", 8)
-        with pytest.raises(StructureError, match="line 2: a base of 3 elements needs 3\\^2 entries per logic table"):
-            parse_structure("static a/0\nbase false true undef\n")
+        assert x.value("r", ["a"] * 30) == "b"
+        assert x.value("r", ["b"] * 30) == "undef"
+        assert parse_structure(format_structure(x)) == x
 
     def test_missing_base_rejected(self):
         with pytest.raises(StructureError):
@@ -343,3 +341,100 @@ class TestStructureFile:
         x = parse_structure(text)
         assert x.true_el == "t0"
         assert format_structure(parse_structure(format_structure(x))) == format_structure(x)
+
+
+# --- The sparse structure against the dense oracle ------------------------------
+
+ELEMENTS = ("a", "b", "c", "false", "true", "undef")
+DESIGNATED = ("true", "false", "undef")
+LOGIC_ARITIES = {"Boole": 1, "eq": 2, "not": 1, "and": 2, "or": 2, "true": 0, "false": 0, "undef": 0}
+
+
+@st.composite
+def small_structures(draw):
+    """A vocabulary, a base of 3-5 elements and explicit entries, some overriding the logic."""
+    base = draw(st.lists(st.sampled_from(ELEMENTS), min_size=3, max_size=5, unique=True))
+    decls = [
+        SymbolDecl(f"s{i}", draw(st.integers(0, 3)), static=draw(st.booleans()), relational=draw(st.booleans()))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    vocab = Vocabulary.make(decls)
+    element = st.sampled_from(base)
+    interp: dict[str, dict[tuple[str, ...], str]] = {}
+    for name in DESIGNATED:
+        if name not in base or draw(st.integers(0, 3)) == 0:
+            interp[name] = {(): draw(element)}
+    arities = {**LOGIC_ARITIES, **{d.name: d.arity for d in decls}}
+    symbols = sorted(set(arities) - set(DESIGNATED))
+    for _ in range(draw(st.integers(0, 8))):
+        name = draw(st.sampled_from(symbols))
+        args = tuple(draw(element) for _ in range(arities[name]))
+        interp.setdefault(name, {})[args] = draw(element)
+    return vocab, base, interp
+
+
+def every_entry(x):
+    for d in x.vocab.symbols:
+        for args in product(x.base, repeat=d.arity):
+            yield d.name, args
+
+
+def assert_same(sparse: Structure, dense: DenseStructure) -> None:
+    assert sparse.base == dense.base
+    for name, args in every_entry(dense):
+        assert sparse.value(name, args) == dense.value(name, args), (name, args)
+
+
+def assert_canonical(x: Structure, defaults: DenseStructure) -> None:
+    """x stores, sorted, exactly the entries that differ from their defaults."""
+    stored = [(name, args) for name, entries in x.tables for args, _ in entries]
+    assert stored == sorted(stored)
+    assert all(entries for _, entries in x.tables)
+    for name, args in every_entry(defaults):
+        default = name if name in DESIGNATED else defaults.value(name, args)
+        assert ((name, args) in stored) == (x.value(name, args) != default), (name, args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_structures(), st.data())
+def test_sparse_structures_agree_with_the_dense_oracle(built, data):
+    vocab, base, interp = built
+    x, dense = Structure.make(vocab, base, interp), DenseStructure.make(vocab, base, interp)
+    # every entry but the designated constants' defaults from what true, false and undef denote
+    defaults = DenseStructure.make(vocab, base, {n: e for n, e in interp.items() if n in DESIGNATED})
+    assert_same(x, dense)
+    assert_canonical(x, defaults)
+    assert validate_structure(vocab, x) == dense_validate_structure(vocab, dense)
+    assert parse_structure(format_structure(x)) == x
+
+    # restating an entry's current value changes nothing; changing it does
+    name, args = data.draw(st.sampled_from(list(every_entry(dense))))
+    value = data.draw(st.sampled_from(x.base))
+    y_interp = {**interp, name: {**interp.get(name, {}), args: value}}
+    y, dense_y = Structure.make(vocab, base, y_interp), DenseStructure.make(vocab, base, y_interp)
+    assert_same(y, dense_y)
+    assert (x == y) == (dense == dense_y)
+    assert x != y or hash(x) == hash(y)
+
+    # updates, with every stored dynamic entry not otherwise updated set back to its default
+    locations = list(all_locations(dense))
+    if locations:
+        chosen = data.draw(st.lists(st.sampled_from(locations), max_size=4, unique=True))
+        delta = {update(loc.symbol, loc.args, data.draw(st.sampled_from(x.base))) for loc in chosen}
+        delta |= {
+            update(n, a, defaults.value(n, a))
+            for n, entries in x.tables
+            for a, _ in entries
+            if not vocab.decl(n).static and Location(n, a) not in chosen
+        }
+        moved = apply_updates(x, delta)
+        assert_same(moved, dense_apply_updates(dense, delta))
+        assert_canonical(moved, defaults)
+
+    # transport along a random permutation, then check every permutation against the image
+    iso = Isomorphism.of(dict(zip(x.base, data.draw(st.permutations(x.base)))))
+    z, dense_z = apply_isomorphism(iso, x), dense_transport(iso, dense)
+    assert_same(z, dense_z)
+    for perm in permutations(x.base):
+        mapping = dict(zip(x.base, perm))
+        assert check_isomorphism(mapping, x, z) == dense_check_isomorphism(mapping, dense, dense_z), mapping
