@@ -244,7 +244,7 @@ def parse_script(text: str) -> list[Batch | Stall]:
     items: list[Batch | Stall] = []
     pending_block: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _uncomment(raw).strip()
         if not line:
             continue
         if pending_block:
@@ -266,6 +266,14 @@ def parse_script(text: str) -> list[Batch | Stall]:
     if pending_block:
         raise ExecutionError("script ends inside an unclosed phase block")
     return items
+
+
+def _uncomment(line: str) -> str:
+    """The line up to its comment: `#` inside a query's parentheses marks an element."""
+    i = line.find("#")
+    while i >= 0 and line.count("(", 0, i) > line.count(")", 0, i):
+        i = line.find("#", i + 1)
+    return line if i < 0 else line[:i]
 
 
 def _parse_phase_block(block: str, lineno: int) -> Batch:

@@ -20,10 +20,6 @@ class HistoryError(EngineError):
     """Base class for history-algebra errors."""
 
 
-class NonContiguousPhases(HistoryError):
-    """Phase image is not an initial segment of the naturals (normalization off)."""
-
-
 class DomainMismatch(HistoryError):
     """Phase assignment keys differ from the answer function's domain."""
 
@@ -164,13 +160,6 @@ class History:
         return {q: p for q, _, p in self.entries}
 
     @cached_property
-    def classes(self) -> tuple[tuple[Query, ...], ...]:
-        out: list[list[Query]] = [[] for _ in range(self.length)]
-        for q, _, p in self.entries:
-            out[p].append(q)
-        return tuple(tuple(c) for c in out)
-
-    @cached_property
     def reply_range(self) -> frozenset[str]:
         return frozenset(r for _, r, _ in self.entries)
 
@@ -199,17 +188,11 @@ def _canonical_entries(
 EMPTY_HISTORY = History()
 
 
-def mk_history(answers: AnswerFunction, phase: Mapping[Query, int], *, normalize: bool = True) -> History:
-    """Build a history, relabeling phases to the canonical contiguous form.
-
-    With normalize off, a phase image that is not exactly {0..k-1} raises
-    NonContiguousPhases instead of being relabeled.
-    """
+def mk_history(answers: AnswerFunction, phase: Mapping[Query, int]) -> History:
+    """Build a history, relabeling phases to the canonical contiguous form."""
     if set(answers) != set(phase):
         raise DomainMismatch("phase assignment keys differ from the answered queries")
     ranks = sorted(set(phase.values()))
-    if not normalize and ranks != list(range(len(ranks))):
-        raise NonContiguousPhases(f"phase image {ranks} is not contiguous from 0")
     rank_of = {r: i for i, r in enumerate(ranks)}
     norm = {q: rank_of[p] for q, p in phase.items()}
     return History(_canonical_entries(answers, norm))
@@ -312,8 +295,11 @@ def parse_history(text: str) -> History:
             raise LiteralSyntaxError(f"phase {phase_text!r} is not a natural number in {text!r}")
         if q in answers:
             raise LiteralSyntaxError(f"{format_query(q)} appears twice in {text!r}")
+        try:
+            phases[q] = int(phase_text)
+        except ValueError:  # more digits than int() converts
+            raise LiteralSyntaxError(f"phase of {len(phase_text)} digits is too large") from None
         answers[q] = reply
-        phases[q] = int(phase_text)
     return mk_history(answers, phases)
 
 

@@ -27,6 +27,12 @@ class Isomorphism:
 
     pairs: tuple[tuple[str, str], ...]
 
+    def __post_init__(self) -> None:
+        source: dict[str, str] = {}
+        for a, b in self.pairs:
+            if source.setdefault(b, a) != a:
+                raise EngineError(f"elements {source[b]!r} and {a!r} both map to {b!r}")
+
     @staticmethod
     def of(mapping: Mapping[str, str]) -> Isomorphism:
         return Isomorphism(tuple(sorted(mapping.items())))
@@ -47,9 +53,6 @@ class Isomorphism:
 
     def map_tuple(self, elems: tuple[str, ...]) -> tuple[str, ...]:
         return tuple(self.map_element(e) for e in elems)
-
-    def inverse(self) -> Isomorphism:
-        return Isomorphism(tuple(sorted((b, a) for a, b in self.pairs)))
 
 
 def check_isomorphism(mapping: Mapping[str, str] | Isomorphism, x: Structure, y: Structure) -> bool:

@@ -48,7 +48,6 @@ from typing import Callable, Iterable
 
 from .errors import EngineError
 from .history import (
-    EMPTY_HISTORY,
     Elem,
     History,
     Label,
@@ -61,7 +60,6 @@ from .history import (
 )
 from .spans import Span
 from .structure import (
-    App,
     Location,
     ReplyVar,
     Structure,

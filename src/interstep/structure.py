@@ -535,7 +535,11 @@ def parse_structure(text: str) -> Structure:
             name, _, arity_text = rest[0].partition("/")
             if not (arity_text.isascii() and arity_text.isdigit()):
                 raise StructureError(f"line {lineno}: arity {arity_text!r} is not a natural number")
-            decls.append(SymbolDecl(_ident(name, lineno), int(arity_text), static=static, relational=relational))
+            try:
+                arity = int(arity_text)
+            except ValueError:  # more digits than int() converts
+                raise StructureError(f"line {lineno}: arity of {len(arity_text)} digits is too large") from None
+            decls.append(SymbolDecl(_ident(name, lineno), arity, static=static, relational=relational))
         elif words[0] == "interp":
             lp, rp = line.find("("), line.find(")")
             if lp < 0 or rp < lp or "=" not in line[rp:]:

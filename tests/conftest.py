@@ -26,6 +26,30 @@ def h(*entries: tuple[str, str, int]) -> History:
     return mk_history(answers, phases)
 
 
+def broker_with_confirm(confirm: str):
+    """broker.isa plus a `confirm` query issued after a tie-break, with parts `confirm`.
+
+    With `(confirm reply(choose))` its instance names the chosen client, so the
+    template, a rule template and the final rules that read its reply depend on
+    the history.
+    """
+    text = (SPECS / "broker.isa").read_text()
+    for old, new in (
+        ("labels { choose offer0 offer1 timeout }", "labels { choose confirm offer0 offer1 timeout }"),
+        ("query choose = (choose)\n", f"query choose = (choose)\nquery confirm = {confirm}\n"),
+        ("issue tie:", f"issue conf: when answered(choose) emit {confirm}\nissue tie:"),
+        (
+            "final sale_choice: when answered(choose) succeed",
+            "final sale_choice: when reply(confirm) = yes() succeed\nfinal refused: when reply(confirm) = no() fail",
+        ),
+        ("max_query_len 1", "max_query_len 2"),
+        ("max_issued 5", "max_issued 6"),
+    ):
+        assert old in text
+        text = text.replace(old, new)
+    return parse_spec(text)
+
+
 @pytest.fixture(scope="session")
 def broker():
     return parse_spec((SPECS / "broker.isa").read_text())

@@ -9,9 +9,8 @@ import pytest
 from conftest import BROKER_POOL, SPECS, h, lq
 from interstep.analysis import (
     AnalysisError,
-    ConfigMismatch,
+    Divergence,
     EnumerationConfig,
-    TruncationWarning,
     check_postulates,
     enumerate_attainable,
     equivalent,
@@ -35,6 +34,7 @@ from oracle import (
 
 SMALL = EnumerationConfig(reply_pool=("yes", "no"), max_phases=3, max_domain=4)
 FULL = EnumerationConfig(reply_pool=BROKER_POOL, max_phases=3, max_domain=4)
+AGREEMENT = EnumerationConfig(reply_pool=("client0", "no", "t", "yes"), max_phases=3, max_domain=4)
 
 
 class TestConfig:
@@ -60,13 +60,8 @@ class TestEnumerate:
 
     def test_one_phase_bound_matches_brute_force(self, broker, broker_state):
         cfg = EnumerationConfig(reply_pool=("yes", "no"), max_phases=1, max_domain=4)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            res = enumerate_attainable(broker, broker_state, cfg)
-            oracle = brute_force_attainable(broker, broker_state, cfg)
-        assert res.histories == oracle
+        res = enumerate_attainable(broker, broker_state, cfg)
+        assert res.histories == brute_force_attainable(broker, broker_state, cfg)
         # each initial query is unanswered or answered from the pool, not all unanswered
         assert sum(1 for xi in res.histories if xi.length == 1) == 3**3 - 1
 
@@ -86,19 +81,13 @@ class TestEnumerate:
             for eta in initial_segments(xi):
                 assert eta in res.histories
 
-    def test_truncation_flag_and_warning(self, broker, broker_state):
+    def test_truncation_flag(self, broker, broker_state):
         cfg = EnumerationConfig(reply_pool=("yes", "no"), max_phases=1, max_domain=4)
-        with pytest.warns(TruncationWarning):
-            res = enumerate_attainable(broker, broker_state, cfg)
-        assert res.truncated
+        assert enumerate_attainable(broker, broker_state, cfg).truncated
 
     def test_domain_bound_truncates(self, broker, broker_state):
         cfg = EnumerationConfig(reply_pool=("yes", "no"), max_phases=3, max_domain=1)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            res = enumerate_attainable(broker, broker_state, cfg)
+        res = enumerate_attainable(broker, broker_state, cfg)
         assert res.truncated
         assert all(len(xi.domain) <= 1 for xi in res.histories)
 
@@ -163,7 +152,6 @@ class TestCheckPostulates:
         report = check_postulates(tight, SMALL)
         assert not report.section("bounds").passed
 
-    @pytest.mark.filterwarnings("ignore::interstep.analysis.TruncationWarning")
     @pytest.mark.parametrize("bounds", [(3, 4), (2, 8)], ids=["3-phases-4-queries", "2-phases-8-queries"])
     @pytest.mark.parametrize("form", STEP_A_FORMS)
     def test_step_a_matches_the_brute_force_scan(self, broker, form, bounds):
@@ -186,6 +174,27 @@ class TestCheckPostulates:
 def add_unsatisfiable_rule(spec):
     rule = IssueRule("never", And(Answered("choose"), Unanswered("choose")), spec.issue_rules[0].template)
     return dataclasses.replace(spec, issue_rules=spec.issue_rules + (rule,))
+
+
+def without_rule(spec, name):
+    kinds = ("issue_rules", "final_rules", "update_rules")
+    kept = {kind: tuple(r for r in getattr(spec, kind) if r.name != name) for kind in kinds}
+    assert sum(map(len, kept.values())) == sum(len(getattr(spec, kind)) for kind in kinds) - 1, name
+    return dataclasses.replace(spec, **kept)
+
+
+def broker_with_extra_symbol():
+    text = (SPECS / "broker.isa").read_text().replace("dynamic owner/0", "dynamic owner/0\n  dynamic extra/0")
+    return parse_spec(text)
+
+
+BROKER_RULES = (
+    "ask0", "ask1", "ask_clock", "tie",
+    "sale0", "sale1", "sale_choice", "no_sale", "expired",
+    "sell0", "sell0_first", "sell1", "sell1_first", "sell_choice",
+)
+# neither fires on an attainable history: a lone yes() ends the step at once
+DEAD_RULES = ("sell0_first", "sell1_first")
 
 
 def reorder_rules(spec):
@@ -218,20 +227,28 @@ class TestEquivalence:
         assert d.clause in (3, 4)
         assert d.history == h(("offer0", "yes", 0), ("offer1", "yes", 0))
 
-    def test_weak_checker_agrees_on_the_variant(self, broker, broker_preferred):
-        assert not weak_equivalent(broker, broker_preferred, FULL).equivalent
-        assert agreement_property(broker, broker_preferred, FULL)
+    @pytest.mark.parametrize("other", ["preferred", "extra-symbol", *(f"without-{r}" for r in BROKER_RULES)])
+    def test_weak_checker_agrees_on_variants(self, request, broker, other):
+        if other == "preferred":
+            spec = request.getfixturevalue("broker_preferred")
+        elif other == "extra-symbol":
+            spec = broker_with_extra_symbol()
+        else:
+            spec = without_rule(broker, other.removeprefix("without-"))
+        assert agreement_property(broker, spec, AGREEMENT)
+        assert weak_equivalent(broker, spec, AGREEMENT).equivalent == (other.removeprefix("without-") in DEAD_RULES)
 
     def test_weak_checker_agrees_on_equivalent_pairs(self, broker):
         for mutant in (broker, add_unsatisfiable_rule(broker), reorder_rules(broker)):
             assert weak_equivalent(broker, mutant, SMALL).equivalent
             assert agreement_property(broker, mutant, SMALL)
 
-    def test_vocabulary_mismatch_fails_fast(self, broker):
-        text = (SPECS / "broker.isa").read_text().replace("dynamic owner/0", "dynamic owner/0\n  dynamic extra/0")
-        other = parse_spec(text)
-        with pytest.raises(ConfigMismatch):
-            equivalent(broker, other, SMALL)
+    @pytest.mark.parametrize("checker", [equivalent, weak_equivalent])
+    def test_vocabulary_mismatch_fails_clause_one(self, broker, checker):
+        report = checker(broker, broker_with_extra_symbol(), SMALL)
+        assert not report.equivalent
+        assert [(c.clause, c.passed) for c in report.clauses] == [(1, False)]
+        assert report.divergence == Divergence(None, None, 1, "vocabularies differ; state sets differ; initial state sets differ")
 
     def test_different_labels_fail_clause_one(self, broker):
         other = dataclasses.replace(broker, labels=broker.labels | {"extra"})
@@ -273,12 +290,8 @@ class TestEquivalence:
         assert any(line.startswith("divergence.history=") for line in machine.splitlines())
 
     def test_truncated_verdict_is_labeled(self, broker):
-        import warnings
-
         cfg = EnumerationConfig(reply_pool=("yes", "no"), max_phases=1, max_domain=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            report = equivalent(broker, broker, cfg)
+        report = equivalent(broker, broker, cfg)
         assert report.equivalent and report.truncated
         assert "equivalent up to bounds" in format_equivalence_report(report)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 import subprocess
 import sys
 import time
@@ -48,6 +49,18 @@ def test_non_equivalent_pair_exits_1():
     code, out = run_cli("equiv", BROKER, str(SPECS / "broker_preferred.isa"), *SMALL, "--format", "machine")
     assert code == 1
     assert out.startswith("equivalent=false\n")
+
+
+@pytest.mark.parametrize("mode", [[], ["--weak"]], ids=["full", "weak"])
+def test_equiv_of_different_vocabularies_exits_1_with_a_full_report(tmp_path, mode):
+    path = tmp_path / "extra.isa"
+    path.write_text((SPECS / "broker.isa").read_text().replace("dynamic owner/0", "dynamic owner/0\n  dynamic extra/0"))
+    code, out = run_cli("equiv", BROKER, str(path), *SMALL, *mode, "--format", "machine")
+    assert code == 1
+    lines = out.splitlines()
+    assert all(re.fullmatch(r"[\w.]+=.*", line) for line in lines), lines
+    assert "clause.1=fail" in lines
+    assert "divergence.detail=vocabularies differ; state sets differ; initial state sets differ" in lines
 
 
 def test_stalled_step_exits_2():

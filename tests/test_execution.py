@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from conftest import SCRIPTS, h, lq
+from conftest import SCRIPTS, broker_with_confirm, h, lq
 from interstep.execution import (
     STALL,
     EnvironmentProtocolError,
@@ -186,6 +186,22 @@ class TestScriptFormat:
     def test_round_trip_bit_exact(self):
         text = "phase { (offer0) -> yes ; (offer1) -> yes }\nphase { (choose) -> client1 }\nstall\n"
         assert format_script(parse_script(text)) == text
+
+    def test_element_query_round_trips(self):
+        text = "phase { (pair #client0) -> yes }\n"
+        assert format_script(parse_script(text)) == text
+
+    def test_script_answers_a_query_that_names_an_element(self):
+        # `#` marks an element inside a query's parentheses and starts a comment elsewhere
+        spec = broker_with_confirm("(confirm reply(choose))")
+        text = (
+            "phase { (offer0) -> yes ; (offer1) -> yes }\n"
+            "phase { (choose) -> client0 }  # the tie-break\n"
+            "phase { (confirm #client0) -> yes }\n"
+        )
+        tr = step(spec, spec.state("X0"), ScriptedEnvironment(parse_script(text)))
+        assert tr.outcome.kind == "success"
+        assert tr.delta == {update("owner", (), "client0")}
 
     def test_comments_ignored(self):
         items = parse_script("# intro\nphase { (offer0) -> yes }  # sale\n")

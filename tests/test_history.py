@@ -12,7 +12,6 @@ from interstep.history import (
     History,
     HistoryError,
     LiteralSyntaxError,
-    NonContiguousPhases,
     OverlappingDomain,
     QueryNotInDomain,
     append_class,
@@ -45,10 +44,6 @@ class TestMkHistory:
         xi = mk_history({lq("q"): "a"}, {lq("q"): 5})
         assert xi.phase_of(lq("q")) == 0
         assert xi == h(("q", "a", 0))
-
-    def test_normalization_disabled_rejects_gaps(self):
-        with pytest.raises(NonContiguousPhases):
-            mk_history({lq("q"): "a"}, {lq("q"): 5}, normalize=False)
 
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatch):
@@ -306,6 +301,10 @@ class TestLiterals:
         for text in ["{ (q) -> }", "{ (q) yes @0 }", "(q) -> a @0", "{ (q) -> a @x }", "{ () -> a @0 }", "{ (q) -> a @² }"]:
             with pytest.raises(LiteralSyntaxError):
                 parse_history(text)
+
+    def test_huge_phase_is_a_literal_error(self):
+        with pytest.raises(LiteralSyntaxError, match="phase of 5000 digits is too large"):
+            parse_history("{ (q) -> a @" + "9" * 5000 + " }")
 
     def test_duplicate_query_rejected(self):
         with pytest.raises(LiteralSyntaxError):

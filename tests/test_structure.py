@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interstep.errors import EngineError
 from interstep.history import Elem, Label, Query
 from interstep.isomorphism import (
     ElementNotInDomain,
@@ -254,6 +255,11 @@ class TestIsomorphism:
         q = Query((Label("offer0"), Elem("client0")))
         assert apply_isomorphism(swap, q) == Query((Label("offer0"), Elem("client1")))
 
+    def test_non_injective_mapping_is_rejected(self, broker_state):
+        merge = {**{e: e for e in broker_state.base}, "client1": "client0"}
+        with pytest.raises(EngineError, match="elements 'client0' and 'client1' both map to 'client0'"):
+            apply_isomorphism(Isomorphism.of(merge), broker_state)
+
     def test_missing_element_raises(self, x):
         iso = Isomorphism.of({"client0": "client1"})
         with pytest.raises(ElementNotInDomain):
@@ -323,6 +329,10 @@ class TestStructureFile:
     def test_non_ascii_arity_rejected(self, arity):
         with pytest.raises(StructureError, match="line 2: arity"):
             parse_structure(f"base false true undef\ndynamic r/{arity}\n")
+
+    def test_huge_arity_rejected(self):
+        with pytest.raises(StructureError, match="line 2: arity of 5000 digits is too large"):
+            parse_structure("base false true undef\ndynamic r/" + "9" * 5000 + "\n")
 
     def test_arity_30_parses_at_once(self):
         start = time.perf_counter()
