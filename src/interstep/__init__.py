@@ -15,10 +15,10 @@ from .analysis import (
     equivalent,
     weak_equivalent,
 )
-from .dsl import parse_spec, print_spec, validate_spec
+from .dsl import parse_history, parse_spec, print_spec, validate_spec
 from .errors import EngineError
 from .execution import ScriptedEnvironment, Stall, STALL, run, step
-from .history import History, Label, Elem, Query, format_history, mk_history, parse_history
+from .history import History, Label, Elem, Query, format_history, mk_history
 from .isomorphism import Isomorphism, apply_isomorphism, check_isomorphism
 from .model import (
     AlgorithmSpec,

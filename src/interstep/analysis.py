@@ -462,32 +462,3 @@ def format_equivalence_report(report: EquivalenceReport, fmt: str = "human") -> 
             at = f" at {format_history(d.history)}" if d.history is not None else ""
             lines.append(f"  first divergence{where}{at}: clause {d.clause}, {d.detail}")
     return "\n".join(lines) + "\n"
-
-
-# --- Isomorphism files -----------------------------------------------------------
-
-
-def parse_iso_file(text: str) -> list[IsoSpec]:
-    """Parse `iso STATE STATE { a -> b ; c -> d }` lines; unlisted elements map to themselves."""
-    out: list[IsoSpec] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        words = line.split(None, 3)
-        if len(words) < 4 or words[0] != "iso":
-            raise AnalysisError(f"iso line {lineno}: expected 'iso STATE STATE {{ a -> b ; ... }}'")
-        _, name_a, name_b, rest = words
-        rest = rest.strip()
-        if not (rest.startswith("{") and rest.endswith("}")):
-            raise AnalysisError(f"iso line {lineno}: mapping must be braced")
-        mapping: dict[str, str] = {}
-        body = rest[1:-1].strip()
-        if body:
-            for entry in body.split(";"):
-                if "->" not in entry:
-                    raise AnalysisError(f"iso line {lineno}: entry {entry.strip()!r} lacks '->'")
-                src, _, dst = entry.partition("->")
-                mapping[src.strip()] = dst.strip()
-        out.append((mapping, name_a, name_b))
-    return out

@@ -208,9 +208,7 @@ def _cmd_enumerate(args, out) -> int:
 
 def _cmd_check(args, out) -> int:
     spec = _load_spec(args.spec)
-    isos: list[analysis.IsoSpec] = []
-    if args.iso:
-        isos = analysis.parse_iso_file(_read(args.iso))
+    isos = dsl.parse_iso(_read(args.iso), spec) if args.iso else []
     report = analysis.check_postulates(spec, _config(args), isos, strict=args.strict)
     out.write(analysis.format_postulate_report(report, args.format))
     return 0 if report.passed else 3

@@ -9,7 +9,7 @@ Grammar (canonical section order; `#` comments run to end of line):
     labels     := "labels" "{" NAME* "}"
     states     := stateblock+ "initial" NAME+
     stateblock := "state" NAME "{" "base" NAME+ interpline* "}"
-    interpline := "interp" NAME "(" NAME* ")" "=" NAME
+    interpline := "interp" (NAME | "not" | "and" | "or") "(" NAME* ")" "=" NAME
     queries    := ("query" NAME "=" qtuple)*
     qtuple     := "(" component+ ")"                            # space separated
     component  := LABEL | term
@@ -27,30 +27,43 @@ Grammar (canonical section order; `#` comments run to end of line):
     bounds     := "bounds" "{" "max_query_len" NAT "max_issued" NAT "}"
     witness    := "witness" "{" [term (";" term)*] "}"
 
+Query and history literals, scripts and iso files share the lexer and the
+parser.  WORD is a NAME or a keyword.  Inside a query's parentheses `#`
+glued to a WORD marks an element; elsewhere, as anywhere in a spec, `#`
+starts a comment.  A query is answered, and an element mapped, at most
+once; an iso maps unlisted elements to themselves.
+
+    query      := "(" (WORD | "#" WORD)+ ")"
+    history    := "{" [answer "@" NAT (";" answer "@" NAT)*] "}"
+    answer     := query "->" WORD                               # the reply
+    script     := ("phase" "{" answer (";" answer)* "}" | "stall")*
+    isofile    := ("iso" NAME NAME "{" [WORD "->" WORD (";" WORD "->" WORD)*] "}")*
+
 Precedence is not > and > or, left-associative.  `start` holds exactly of the
 empty history.  `not`, `and`, `or` are reserved in guard position, so terms
 in source cannot apply the logic connectives (build such terms via the API;
-`Boole` and `eq` remain spellable).  `reply(q) = t` always parses as the
-reply-comparison atom.  `not`, parenthesized guards and term arguments nest
-at most MAX_NESTING deep, and each `and`/`or` of a chain counts as one more
-level.
+`Boole` and `eq` remain spellable; `interp` lines may list them).  `reply(q) = t`
+always parses as the reply-comparison atom.  `not`, parenthesized guards and
+term arguments nest at most MAX_NESTING deep, and each `and`/`or` of a chain
+counts as one more level.
 
 Lexer: tokens are ASCII.  NAME is `[A-Za-z_][A-Za-z0-9_]*` and NAT is
 `[0-9]+`: numerals are ASCII digits only, so `²` or `٣` is an unexpected
 character, and a word with non-ASCII letters or digits is rejected whole.
 Only comments may hold other characters.  One compiled regex matches a gap
 (blanks and comments) and the token after it, position by position; tokens
-keep plain int positions and build their Span only when it is read.
+keep plain int positions and build their Span only when it is read.  In a
+query's parentheses outside specs, a second regex without comments takes over.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, NoReturn
+from typing import Callable, NoReturn, TypeVar
 
 from .errors import EngineError
-from .history import Label
+from .history import Elem, History, Label, Query, format_query, mk_history
 from .model import (
     AlgorithmSpec,
     And,
@@ -74,7 +87,10 @@ from .model import (
 )
 from .spans import Span
 from .structure import (
+    AND,
     LOGIC_NAMES,
+    NOT,
+    OR,
     App,
     ReplyVar,
     Structure,
@@ -88,6 +104,9 @@ from .structure import (
     term_variables,
     validate_structure,
 )
+
+
+T = TypeVar("T")
 
 
 class DslError(EngineError):
@@ -129,6 +148,11 @@ _TOKEN = re.compile(
     r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
     r"(?:(->|:=|[{}():;,=/@$])|([0-9]+)|([A-Za-z_][A-Za-z0-9_]*))?"
 )
+# In a query's parentheses outside specs: no comment, and `#name` is a word.
+_TOKEN_IN_QUERY = re.compile(
+    r"[ \t\r\n]*"
+    r"(?:(->|:=|[{}():;,=/@$])|([0-9]+)|(#?[A-Za-z_][A-Za-z0-9_]*))?"
+)
 
 
 class Token:
@@ -149,13 +173,14 @@ class Token:
         return Span(self.line, self.column, self.start, self.end)
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, elements: bool = False) -> list[Token]:
     """Split text into tokens; each carries its line, column and byte offsets.
 
     Tokens are ASCII, so only the gaps between them (comments) can hold
     other characters: line and column come from the newlines in the gaps,
     and the byte offset is the character offset plus the extra UTF-8 bytes
-    of the gaps so far.
+    of the gaps so far.  With `elements`, for the texts that hold query
+    literals, a word inside parentheses may be an element `#name`.
     """
     tokens: list[Token] = []
     match = _TOKEN.match
@@ -186,6 +211,8 @@ def tokenize(text: str) -> list[Token]:
         else:
             kind = "NAT" if group == 2 else word
         tokens.append(Token(kind, word, line, at - line_start + 1, at + shift, pos + shift))
+        if elements and (kind == "(" or kind == ")"):
+            match = (_TOKEN_IN_QUERY if kind == "(" else _TOKEN).match
     column, byte = at - line_start + 1, at + shift
     if at < len(text):
         ch = text[at]
@@ -362,7 +389,8 @@ class _Parser:
             interp: dict[str, dict[tuple[str, ...], str]] = {}
             while self.at("interp"):
                 self.advance()
-                sym_tok = self.ident("symbol name")
+                # the connectives are keywords, but a state may interpret them
+                sym_tok = self.advance() if self.at(NOT, AND, OR) else self.ident("symbol name")
                 if sym_tok.text not in self.vocab:
                     raise DslNameError(f"unknown symbol {sym_tok.text!r}", sym_tok.span)
                 self.expect("(")
@@ -409,15 +437,15 @@ class _Parser:
                 raise DslNameError(f"query template {name_tok.text!r} declared twice", name_tok.span)
             self.template_names.add(name_tok.text)
             self.expect("=")
-            parts = self.parse_qtuple()
+            parts = self.parse_qtuple(self.parse_component)
             templates.append(QueryTemplate(name_tok.text, parts, self.span_from(start)))
         return templates
 
-    def parse_qtuple(self) -> tuple[Label | Term, ...]:
+    def parse_qtuple(self, component: Callable[[], Label | Term | Elem]) -> tuple[Label | Term | Elem, ...]:
         self.expect("(")
-        parts: list[Label | Term] = []
+        parts: list[Label | Term | Elem] = []
         while not self.at(")"):
-            parts.append(self.parse_component())
+            parts.append(component())
         close = self.expect(")")
         if not parts:
             raise DslSyntaxError("query tuple has no components", close.span, expected=("IDENT",))
@@ -563,7 +591,7 @@ class _Parser:
             guard = self.parse_guard()
             if kw.kind == "issue":
                 self.expect("emit")
-                parts = self.parse_qtuple()
+                parts = self.parse_qtuple(self.parse_component)
                 issue_rules.append(IssueRule(name, guard, QueryTemplate(None, parts), self.span_from(kw)))
             elif kw.kind == "final":
                 out = self.expect("succeed", "fail")
@@ -609,21 +637,143 @@ class _Parser:
 
     def parse_witness(self) -> list[WitnessDecl]:
         self.expect("witness")
-        self.expect("{")
         terms: list[WitnessDecl] = []
-        if not self.at("}"):
+
+        def entry() -> None:
             start = self.peek()
             terms.append(WitnessDecl(self.parse_term(), self.span_from(start)))
-            while self.accept(";"):
-                start = self.peek()
-                terms.append(WitnessDecl(self.parse_term(), self.span_from(start)))
-        self.expect("}")
+
+        self.braced(entry)
         return terms
+
+    # query and history literals, scripts, iso files
+
+    def word(self, what: str) -> Token:
+        """A name in a literal, script or iso file; keywords are names there too."""
+        tok = self.peek()
+        if tok.kind == "IDENT" or tok.kind in _KEYWORDS:
+            return self.advance()
+        raise DslSyntaxError(f"expected {what}, found {tok.text!r}", tok.span, expected=("IDENT",))
+
+    def braced(self, entry: Callable[[], object]) -> Token:
+        """`{ [entry (";" entry)*] }`; returns the closing brace."""
+        self.expect("{")
+        if not self.at("}"):
+            entry()
+            while self.accept(";"):
+                entry()
+        return self.expect("}")
+
+    def parse_query_literal(self) -> Query:
+        return Query(self.parse_qtuple(self.literal_component))
+
+    def literal_component(self) -> Label | Elem:
+        text = self.word("label or #element").text
+        return Elem(text[1:]) if text[0] == "#" else Label(text)
+
+    def parse_answer(self, answers: dict[Query, str]) -> Query:
+        """One `(q) -> reply` entry, added to answers, which must not answer q yet."""
+        start = self.peek()
+        q = self.parse_query_literal()
+        self.expect("->")
+        reply = self.word("reply").text
+        if q in answers:
+            raise DslSyntaxError(f"{format_query(q)} is answered twice", self.span_from(start))
+        answers[q] = reply
+        return q
+
+    def parse_history_literal(self) -> History:
+        answers: dict[Query, str] = {}
+        phases: dict[Query, int] = {}
+
+        def entry() -> None:
+            q = self.parse_answer(answers)
+            self.expect("@")
+            phases[q] = self.nat()
+
+        self.braced(entry)
+        return mk_history(answers, phases)
+
+    def parse_script(self) -> list[dict[Query, str] | None]:
+        items: list[dict[Query, str] | None] = []
+        while not self.at("EOF"):
+            tok = self.advance()
+            if tok.text == "stall":
+                items.append(None)
+            elif tok.text == "phase":
+                batch: dict[Query, str] = {}
+                close = self.braced(lambda: self.parse_answer(batch))
+                if not batch:
+                    raise DslSyntaxError("phase block answers no queries", close.span)
+                items.append(batch)
+            else:
+                raise DslSyntaxError(f"expected 'phase' or 'stall', found {tok.text!r}", tok.span)
+        return items
+
+    def parse_iso(self, spec: AlgorithmSpec) -> list[tuple[dict[str, str], str, str]]:
+        isos: list[tuple[dict[str, str], str, str]] = []
+        while not self.at("EOF"):
+            tok = self.advance()
+            if tok.text != "iso":
+                raise DslSyntaxError(f"expected 'iso', found {tok.text!r}", tok.span)
+            name_a, name_b = self.state_ref(spec), self.state_ref(spec)
+            mapping: dict[str, str] = {}
+
+            def entry() -> None:
+                source = self.element(spec, name_a)
+                if source.text in mapping:
+                    raise DslSyntaxError(f"element {source.text!r} is mapped twice", source.span)
+                self.expect("->")
+                mapping[source.text] = self.element(spec, name_b).text
+
+            self.braced(entry)
+            isos.append((mapping, name_a, name_b))
+        return isos
+
+    def state_ref(self, spec: AlgorithmSpec) -> str:
+        tok = self.ident("state name")
+        if tok.text not in spec.state_names:
+            raise DslNameError(f"state {tok.text!r} is not declared", tok.span)
+        return tok.text
+
+    def element(self, spec: AlgorithmSpec, state: str) -> Token:
+        tok = self.word("element")
+        if tok.text not in spec.state(state).elements:
+            raise DslNameError(f"{tok.text!r} is not an element of state {state!r}", tok.span)
+        return tok
 
 
 def parse_spec(text: str) -> AlgorithmSpec:
     """Parse a machine description; raises Dsl*Error with a source span."""
     return _Parser(tokenize(text)).parse_spec()
+
+
+def _parse_text(text: str, production: Callable[[_Parser], T]) -> T:
+    """Parse the whole of a text that may hold query literals with one production."""
+    parser = _Parser(tokenize(text, elements=True))
+    out = production(parser)
+    parser.expect("EOF")
+    return out
+
+
+def parse_query(text: str) -> Query:
+    """Parse a query literal like `(offer0)` or `(pair #client0)`."""
+    return _parse_text(text, _Parser.parse_query_literal)
+
+
+def parse_history(text: str) -> History:
+    """Parse a history literal like `{ (offer0) -> yes @0 ; (offer1) -> no @1 }`."""
+    return _parse_text(text, _Parser.parse_history_literal)
+
+
+def parse_script(text: str) -> list[dict[Query, str] | None]:
+    """Parse a script into its batches, in order; None stands for a `stall`."""
+    return _parse_text(text, _Parser.parse_script)
+
+
+def parse_iso(text: str, spec: AlgorithmSpec) -> list[tuple[dict[str, str], str, str]]:
+    """Parse an iso file into (mapping, state, state) triples, checked against spec."""
+    return _parse_text(text, lambda parser: parser.parse_iso(spec))
 
 
 # --- Printer --------------------------------------------------------------------

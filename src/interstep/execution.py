@@ -14,17 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence, TextIO
 
+from . import dsl
 from .errors import EngineError
-from .history import (
-    EMPTY_HISTORY,
-    History,
-    Query,
-    append_class,
-    format_history,
-    format_query,
-    parse_query,
-    query_sort_key,
-)
+from .history import EMPTY_HISTORY, History, Query, append_class, format_history, format_query, query_sort_key
 from .model import (
     AlgorithmSpec,
     Verdict,
@@ -37,7 +29,7 @@ from .structure import Structure, Update, apply_updates, format_structure, forma
 
 
 class ExecutionError(EngineError):
-    """Executor misuse (bad start state, malformed script)."""
+    """Executor misuse: a bad start state, or an environment that breaks the protocol."""
 
 
 class EnvironmentProtocolError(ExecutionError):
@@ -118,7 +110,7 @@ class InteractiveEnvironment:
             if words[0] == "answer" and "=" in line:
                 head, _, value = line.partition("=")
                 try:
-                    q = parse_query(head.strip()[len("answer") :])
+                    q = dsl.parse_query(head.strip()[len("answer") :])
                 except EngineError as exc:
                     w(f"cannot read query: {exc}\n")
                     continue
@@ -240,66 +232,8 @@ def run(
 
 
 def parse_script(text: str) -> list[Batch | Stall]:
-    """Parse a script: `phase { (q) -> reply ; ... }` blocks and `stall` lines."""
-    items: list[Batch | Stall] = []
-    pending_block: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _uncomment(raw).strip()
-        if not line:
-            continue
-        if pending_block:
-            pending_block.append(line)
-            joined = " ".join(pending_block)
-            if joined.count("{") == joined.count("}"):
-                items.append(_parse_phase_block(joined, lineno))
-                pending_block = []
-            continue
-        if line == "stall":
-            items.append(STALL)
-        elif line.startswith("phase"):
-            if line.count("{") == line.count("}") and "{" in line:
-                items.append(_parse_phase_block(line, lineno))
-            else:
-                pending_block = [line]
-        else:
-            raise ExecutionError(f"script line {lineno}: expected 'phase {{ ... }}' or 'stall'")
-    if pending_block:
-        raise ExecutionError("script ends inside an unclosed phase block")
-    return items
-
-
-def _uncomment(line: str) -> str:
-    """The line up to its comment: `#` inside a query's parentheses marks an element."""
-    i = line.find("#")
-    while i >= 0 and line.count("(", 0, i) > line.count(")", 0, i):
-        i = line.find("#", i + 1)
-    return line if i < 0 else line[:i]
-
-
-def _parse_phase_block(block: str, lineno: int) -> Batch:
-    body = block[len("phase") :].strip()
-    if not (body.startswith("{") and body.endswith("}")):
-        raise ExecutionError(f"script line {lineno}: phase block must be braced")
-    inner = body[1:-1].strip()
-    if not inner:
-        raise ExecutionError(f"script line {lineno}: phase block answers no queries")
-    batch: dict[Query, str] = {}
-    from .history import LiteralSyntaxError, _check_ident
-
-    for entry in inner.split(";"):
-        entry = entry.strip()
-        if "->" not in entry:
-            raise ExecutionError(f"script line {lineno}: entry {entry!r} lacks '->'")
-        qtext, _, rtext = entry.partition("->")
-        try:
-            q = parse_query(qtext)
-            reply = _check_ident(rtext.strip(), "reply", entry)
-        except LiteralSyntaxError as exc:
-            raise ExecutionError(f"script line {lineno}: {exc}") from exc
-        if q in batch:
-            raise ExecutionError(f"script line {lineno}: {format_query(q)} answered twice")
-        batch[q] = reply
-    return batch
+    """Parse a script: `phase { (q) -> reply ; ... }` blocks and `stall`s (grammar in `dsl`)."""
+    return [STALL if batch is None else batch for batch in dsl.parse_script(text)]
 
 
 # --- Trace rendering -------------------------------------------------------------

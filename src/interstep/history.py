@@ -36,10 +36,6 @@ class EmptyBatch(HistoryError):
     """An appended batch must answer at least one query."""
 
 
-class LiteralSyntaxError(HistoryError):
-    """A query or history literal does not follow the literal grammar."""
-
-
 # --- Queries ----------------------------------------------------------------
 
 
@@ -235,72 +231,6 @@ def append_class(xi: History, batch: AnswerFunction) -> History:
 
 def history_sort_key(xi: History) -> tuple:
     return (xi.length, len(xi.entries), format_history(xi))
-
-
-# --- Literal syntax -----------------------------------------------------------
-
-_IDENT0 = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT = _IDENT0 | set("0123456789")
-
-
-def _check_ident(tok: str, what: str, literal: str) -> str:
-    if not tok or tok[0] not in _IDENT0 or any(c not in _IDENT for c in tok):
-        raise LiteralSyntaxError(f"{tok!r} is not a valid {what} in literal {literal!r}")
-    return tok
-
-
-def parse_query(text: str) -> Query:
-    """Parse a query literal like `(offer0)` or `(pair #client0)`."""
-    s = text.strip()
-    if not (s.startswith("(") and s.endswith(")")):
-        raise LiteralSyntaxError(f"query literal must be parenthesized: {text!r}")
-    words = s[1:-1].split()
-    if not words:
-        raise LiteralSyntaxError(f"query literal has no components: {text!r}")
-    parts: list[Component] = []
-    for w in words:
-        if w.startswith("#"):
-            parts.append(Elem(_check_ident(w[1:], "element", text)))
-        else:
-            parts.append(Label(_check_ident(w, "label", text)))
-    return Query(tuple(parts))
-
-
-def _split_entry(entry: str, literal: str) -> tuple[Query, str, str]:
-    if "->" not in entry:
-        raise LiteralSyntaxError(f"history entry {entry!r} lacks '->' in {literal!r}")
-    qtext, _, rest = entry.partition("->")
-    q = parse_query(qtext)
-    return q, rest, entry
-
-
-def parse_history(text: str) -> History:
-    """Parse a history literal like `{ (offer0) -> yes @0 ; (offer1) -> no @1 }`."""
-    s = text.strip()
-    if not (s.startswith("{") and s.endswith("}")):
-        raise LiteralSyntaxError(f"history literal must be braced: {text!r}")
-    body = s[1:-1].strip()
-    if not body:
-        return EMPTY_HISTORY
-    answers: dict[Query, str] = {}
-    phases: dict[Query, int] = {}
-    for entry in body.split(";"):
-        q, rest, raw = _split_entry(entry.strip(), text)
-        if "@" not in rest:
-            raise LiteralSyntaxError(f"history entry {raw!r} lacks '@phase' in {text!r}")
-        reply_text, _, phase_text = rest.partition("@")
-        reply = _check_ident(reply_text.strip(), "reply", text)
-        phase_text = phase_text.strip()
-        if not (phase_text.isascii() and phase_text.isdigit()):
-            raise LiteralSyntaxError(f"phase {phase_text!r} is not a natural number in {text!r}")
-        if q in answers:
-            raise LiteralSyntaxError(f"{format_query(q)} appears twice in {text!r}")
-        try:
-            phases[q] = int(phase_text)
-        except ValueError:  # more digits than int() converts
-            raise LiteralSyntaxError(f"phase of {len(phase_text)} digits is too large") from None
-        answers[q] = reply
-    return mk_history(answers, phases)
 
 
 def format_history(xi: History) -> str:

@@ -473,7 +473,7 @@ def apply_updates(x: Structure, updates: Iterable[Update]) -> Structure:
     return _canonical(x.vocab, x.base, interp)
 
 
-# --- Structure file format --------------------------------------------------
+# --- Text forms -------------------------------------------------------------
 
 
 def canonical_interp_entries(x: Structure) -> list[tuple[str, tuple[str, ...], str]]:
@@ -496,66 +496,3 @@ def format_structure(x: Structure) -> str:
     for name, args, value in canonical_interp_entries(x):
         lines.append(f"interp {name} ({' '.join(args)}) = {value}")
     return "\n".join(lines) + "\n"
-
-
-_IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
-
-
-def _ident(tok: str, lineno: int) -> str:
-    if not tok or tok[0].isdigit() or any(c not in _IDENT_OK for c in tok):
-        raise StructureError(f"line {lineno}: {tok!r} is not a valid identifier")
-    return tok
-
-
-def parse_structure(text: str) -> Structure:
-    """Parse the line-oriented structure format produced by format_structure."""
-    base: tuple[str, ...] | None = None
-    decls: list[SymbolDecl] = []
-    raw_entries: list[tuple[int, str, tuple[str, ...], str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        words = line.split()
-        if words[0] == "base":
-            if base is not None:
-                raise StructureError(f"line {lineno}: duplicate base line")
-            if len(words) < 2:
-                raise StructureError(f"line {lineno}: base line lists no elements")
-            base = tuple(_ident(w, lineno) for w in words[1:])
-        elif words[0] in ("static", "dynamic", "relational"):
-            static = words[0] == "static"
-            relational = words[0] == "relational"
-            rest = words[1:]
-            if rest and rest[0] == "relational":
-                relational = True
-                rest = rest[1:]
-            if len(rest) != 1 or "/" not in rest[0]:
-                raise StructureError(f"line {lineno}: expected 'name/arity' in symbol declaration")
-            name, _, arity_text = rest[0].partition("/")
-            if not (arity_text.isascii() and arity_text.isdigit()):
-                raise StructureError(f"line {lineno}: arity {arity_text!r} is not a natural number")
-            try:
-                arity = int(arity_text)
-            except ValueError:  # more digits than int() converts
-                raise StructureError(f"line {lineno}: arity of {len(arity_text)} digits is too large") from None
-            decls.append(SymbolDecl(_ident(name, lineno), arity, static=static, relational=relational))
-        elif words[0] == "interp":
-            lp, rp = line.find("("), line.find(")")
-            if lp < 0 or rp < lp or "=" not in line[rp:]:
-                raise StructureError(f"line {lineno}: expected 'interp f (args) = value'")
-            name = _ident(line[len("interp"):lp].strip(), lineno)
-            args = tuple(_ident(w, lineno) for w in line[lp + 1 : rp].split())
-            value = _ident(line[rp + 1 :].split("=", 1)[1].strip(), lineno)
-            raw_entries.append((lineno, name, args, value))
-        else:
-            raise StructureError(f"line {lineno}: unrecognized directive {words[0]!r}")
-    if base is None:
-        raise StructureError("structure text has no base line")
-    vocab = Vocabulary.make(decls)
-    interp: dict[str, dict[tuple[str, ...], str]] = {}
-    for lineno, name, args, value in raw_entries:
-        if name not in vocab:
-            raise StructureError(f"line {lineno}: unknown symbol {name!r}")
-        interp.setdefault(name, {})[args] = value
-    return Structure.make(vocab, base, interp)

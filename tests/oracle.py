@@ -23,8 +23,9 @@ and `dense_check_isomorphism` walk those tables.  They check the sparse
 
 `is_initial_segment`, `restrict_upto`, `common_prefix_comparable` and
 `complete_history` (with the `PreconditionViolation` and `CapExceeded` it
-raises) are history helpers, and `format_script` prints a script that
-`interstep.execution.parse_script` reads; the tests are their only users.
+raises) are history helpers.  `format_script` prints a script that
+`interstep.execution.parse_script` reads, and `format_iso` an iso file that
+`interstep.dsl.parse_iso` reads; the tests are their only users.
 
 `reference_tokenize` is the character-by-character lexer the regex lexer of
 `interstep.dsl` replaced, kept unchanged with its frozen `ReferenceToken`
@@ -134,6 +135,7 @@ __all__ = [
     "dense_check_isomorphism",
     "dense_transport",
     "dense_validate_structure",
+    "format_iso",
     "format_script",
     "holds",
     "is_initial_segment",
@@ -350,8 +352,8 @@ def reference_tokenize(text: str) -> list[ReferenceToken]:
             i += 1
             continue
         if ch == "#":
-            # comment to end of line; element markers appear only in history
-            # literals, which have their own parser
+            # comment to end of line; only literals, scripts and iso files mark
+            # elements with `#`, in the `elements` mode of the dsl lexer
             while i < n and text[i] != "\n":
                 bump(text[i])
                 i += 1
@@ -688,4 +690,12 @@ def format_script(items: Iterable[Batch | Stall]) -> str:
                 f"{format_query(q)} -> {r}" for q, r in sorted(item.items(), key=lambda kv: query_sort_key(kv[0]))
             )
             lines.append("phase { " + body + " }")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def format_iso(isos: Iterable[tuple[dict[str, str], str, str]]) -> str:
+    lines = []
+    for mapping, name_a, name_b in isos:
+        body = " ; ".join(f"{a} -> {b}" for a, b in mapping.items())
+        lines.append(f"iso {name_a} {name_b} {{ {body} }}")
     return "\n".join(lines) + ("\n" if lines else "")

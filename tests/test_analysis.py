@@ -16,10 +16,9 @@ from interstep.analysis import (
     equivalent,
     format_equivalence_report,
     format_postulate_report,
-    parse_iso_file,
     weak_equivalent,
 )
-from interstep.dsl import parse_spec
+from interstep.dsl import DslError, parse_iso, parse_spec
 from interstep.history import EMPTY_HISTORY, initial_segments
 from interstep.model import Answered, And, IssueRule, Unanswered, is_attainable, verdict
 from oracle import (
@@ -128,7 +127,7 @@ class TestCheckPostulates:
         assert not report.truncated
 
     def test_symmetrized_fixture_with_swap_isomorphism(self, broker_sym):
-        isos = parse_iso_file((SPECS / "swap.iso").read_text())
+        isos = parse_iso((SPECS / "swap.iso").read_text(), broker_sym)
         report = check_postulates(broker_sym, FULL, isos)
         assert report.passed, format_postulate_report(report)
 
@@ -297,14 +296,14 @@ class TestEquivalence:
 
 
 class TestIsoFile:
-    def test_parse(self):
-        isos = parse_iso_file("# swap\niso X0 Y0 { client0 -> client1 ; client1 -> client0 }\n")
+    def test_parse(self, broker_sym):
+        isos = parse_iso("# swap\niso X0 Y0 { client0 -> client1 ; client1 -> client0 }\n", broker_sym)
         assert isos == [({"client0": "client1", "client1": "client0"}, "X0", "Y0")]
 
-    def test_bad_lines_rejected(self):
+    def test_bad_lines_rejected(self, broker_sym):
         for text in ["iso X0 { a -> b }", "iso X0 Y0 a -> b", "iso X0 Y0 { a b }"]:
-            with pytest.raises(AnalysisError):
-                parse_iso_file(text)
+            with pytest.raises(DslError):
+                parse_iso(text, broker_sym)
 
 
 def test_analysed_spec_is_freed():

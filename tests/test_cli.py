@@ -104,6 +104,24 @@ def test_file_that_is_not_utf8_exits_4(tmp_path, capsys, file_arg):
     assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
 
 
+@pytest.mark.parametrize(
+    "iso, span, word",
+    [
+        ("iso X0 Y0 { client0 -> client1 -> x }", "1:32", "'->'"),  # was exit 3: not an isomorphism
+        ("iso X0 Y0 { client0 -> client1 ; client1 -> client0 ; nosuch -> client0 }", "1:55", "'nosuch'"),  # was exit 0
+        ("iso X0 Y0 { client0 -> client0 ; client0 -> client1 ; client1 -> client0 }", "1:34", "'client0'"),  # was exit 0
+        ("iso X0 Nope { }", "1:8", "'Nope'"),  # was exit 4 with no position
+    ],
+)
+def test_malformed_iso_file_exits_4_at_the_offending_word(tmp_path, capsys, iso, span, word):
+    path = tmp_path / "bad.iso"
+    path.write_text(iso + "\n")
+    argv = ["check", str(SPECS / "broker_sym.isa"), "--iso", str(path), "--pool", "no,yes", "--max-phases", "2"]
+    assert run_cli(*argv)[0] == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {span}: ") and word in err, err
+
+
 def test_unknown_option_exits_4():
     assert run_cli("validate", BROKER, "--jobs", "2")[0] == 4
 

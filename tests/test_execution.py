@@ -5,6 +5,7 @@ import io
 import pytest
 
 from conftest import SCRIPTS, broker_with_confirm, h, lq
+from interstep.dsl import DslSyntaxError
 from interstep.execution import (
     STALL,
     EnvironmentProtocolError,
@@ -211,9 +212,13 @@ class TestScriptFormat:
         items = parse_script("phase {\n  (offer0) -> yes ;\n  (offer1) -> no\n}\n")
         assert items == [{lq("offer0"): "yes", lq("offer1"): "no"}]
 
+    def test_phases_on_one_line(self):
+        items = parse_script("phase { (offer0) -> no } phase { (offer1) -> no }")
+        assert items == [{lq("offer0"): "no"}, {lq("offer1"): "no"}]
+
     def test_bad_lines_rejected(self):
         for text in ["phase { }", "phase { (q) yes }", "nonsense", "phase { (q) -> a ; (q) -> b }"]:
-            with pytest.raises(ExecutionError):
+            with pytest.raises(DslSyntaxError):
                 parse_script(text)
 
     def test_fixture_scripts_parse(self):

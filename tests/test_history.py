@@ -5,13 +5,13 @@ from itertools import combinations, product
 import pytest
 
 from conftest import h, lq
+from interstep.dsl import DslSyntaxError, parse_history, parse_query
 from interstep.history import (
     EMPTY_HISTORY,
     DomainMismatch,
     EmptyBatch,
     History,
     HistoryError,
-    LiteralSyntaxError,
     OverlappingDomain,
     QueryNotInDomain,
     append_class,
@@ -19,8 +19,6 @@ from interstep.history import (
     format_query,
     initial_segments,
     mk_history,
-    parse_history,
-    parse_query,
     restrict_before,
 )
 from interstep.model import issued
@@ -299,13 +297,13 @@ class TestLiterals:
 
     def test_bad_literals_rejected(self):
         for text in ["{ (q) -> }", "{ (q) yes @0 }", "(q) -> a @0", "{ (q) -> a @x }", "{ () -> a @0 }", "{ (q) -> a @² }"]:
-            with pytest.raises(LiteralSyntaxError):
+            with pytest.raises(DslSyntaxError):
                 parse_history(text)
 
     def test_huge_phase_is_a_literal_error(self):
-        with pytest.raises(LiteralSyntaxError, match="phase of 5000 digits is too large"):
+        with pytest.raises(DslSyntaxError, match="numeral of 5000 digits is too large"):
             parse_history("{ (q) -> a @" + "9" * 5000 + " }")
 
     def test_duplicate_query_rejected(self):
-        with pytest.raises(LiteralSyntaxError):
+        with pytest.raises(DslSyntaxError):
             parse_history("{ (q) -> a @0 ; (q) -> b @1 }")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interstep.dsl import parse_spec, print_spec, validate_spec
 from interstep.errors import EngineError
 from interstep.history import Elem, Label, Query
 from interstep.isomorphism import (
@@ -15,6 +16,7 @@ from interstep.isomorphism import (
     apply_isomorphism,
     check_isomorphism,
 )
+from interstep.model import AlgorithmSpec, Bounds, StateDef
 from interstep.structure import (
     App,
     ArityMismatch,
@@ -30,8 +32,6 @@ from interstep.structure import (
     apply_updates,
     detect_clash,
     eval_term,
-    format_structure,
-    parse_structure,
     update,
     validate_structure,
 )
@@ -301,56 +301,60 @@ class TestIsomorphism:
             assert swap.map_element(eval_term(x, term, {"v": e})) == eval_term(y, term, mapped)
 
 
-class TestStructureFile:
+def one_state_spec(x: Structure) -> AlgorithmSpec:
+    """A spec whose only state is x, and which has no rules."""
+    return AlgorithmSpec("a", x.vocab, frozenset(), (StateDef("S", x),), frozenset({"S"}), (), (), (), (), Bounds(1, 1), ())
+
+
+def state_from_text(vocabulary: str, state: str) -> Structure:
+    """The structure of a DSL state block over the declared vocabulary."""
+    text = f"algorithm a\nvocabulary {{ {vocabulary} }}\nlabels {{ }}\nstate S {{ {state} }}\ninitial S\n"
+    return parse_spec(text + "bounds { max_query_len 1 max_issued 1 }\nwitness { }\n").state("S")
+
+
+def reparsed(x: Structure) -> Structure:
+    return parse_spec(print_spec(one_state_spec(x))).state("S")
+
+
+class TestStructureText:
+    """Structures written as DSL state blocks: `print_spec` and `parse_spec` carry them."""
+
     def test_round_trip_is_bit_exact(self, broker_state):
-        text = format_structure(broker_state)
-        again = parse_structure(text)
-        assert again == broker_state
-        assert format_structure(again) == text
+        text = print_spec(one_state_spec(broker_state))
+        assert parse_spec(text).state("S") == broker_state
+        assert print_spec(parse_spec(text)) == text
 
     def test_defaults_fill_unlisted_entries(self):
-        text = "base false true undef\n" "dynamic flag/0\n" "static relational ok/1\n"
-        x = parse_structure(text)
+        x = state_from_text("dynamic flag/0 static relational ok/1", "base false true undef")
         assert x.value("flag") == "undef"
         assert x.value("ok", ("true",)) == "false"
 
     def test_relational_line_means_dynamic_relational(self):
-        x = parse_structure("base false true undef\nrelational r/0\n")
+        x = state_from_text("relational r/0", "base false true undef")
         assert x.vocab.decl("r").static is False
         assert x.vocab.decl("r").relational is True
         # canonical form spells the flags out
-        assert "dynamic relational r/0" in format_structure(x)
-
-    def test_parse_errors_carry_line_numbers(self):
-        with pytest.raises(StructureError, match="line 2"):
-            parse_structure("base a true false undef\ninterp nosuch () = a\n")
-
-    @pytest.mark.parametrize("arity", ["²", "٣"])
-    def test_non_ascii_arity_rejected(self, arity):
-        with pytest.raises(StructureError, match="line 2: arity"):
-            parse_structure(f"base false true undef\ndynamic r/{arity}\n")
-
-    def test_huge_arity_rejected(self):
-        with pytest.raises(StructureError, match="line 2: arity of 5000 digits is too large"):
-            parse_structure("base false true undef\ndynamic r/" + "9" * 5000 + "\n")
+        assert "dynamic relational r/0" in print_spec(one_state_spec(x))
 
     def test_arity_30_parses_at_once(self):
         start = time.perf_counter()
-        x = parse_structure("dynamic f/0\ndynamic r/30\nbase a b c d e false true undef\ninterp r (" + "a " * 30 + ") = b\n")
+        x = state_from_text("dynamic f/0 dynamic r/30", "base a b c d e false true undef interp r (" + "a " * 30 + ") = b")
         assert time.perf_counter() - start < 0.5
         assert x.value("r", ["a"] * 30) == "b"
         assert x.value("r", ["b"] * 30) == "undef"
-        assert parse_structure(format_structure(x)) == x
-
-    def test_missing_base_rejected(self):
-        with pytest.raises(StructureError):
-            parse_structure("dynamic f/0\n")
+        assert reparsed(x) == x
 
     def test_designated_override_round_trips(self):
-        text = "base f0 t0 u0\ninterp false () = f0\ninterp true () = t0\ninterp undef () = u0\n"
-        x = parse_structure(text)
+        x = state_from_text("", "base f0 t0 u0 interp false () = f0 interp true () = t0 interp undef () = u0")
         assert x.true_el == "t0"
-        assert format_structure(parse_structure(format_structure(x))) == format_structure(x)
+        assert reparsed(x) == x
+
+    def test_connective_override_round_trips(self):
+        x = state_from_text("", "base false true undef interp not (true) = true interp or (false false) = true")
+        assert x.value("not", ("true",)) == "true"
+        assert reparsed(x) == x
+        assert [i.code for i in validate_structure(x.vocab, x)] == ["connective-convention"] * 2
+        assert [d.code for d in validate_spec(one_state_spec(x))] == ["structure"] * 2
 
 
 # --- The sparse structure against the dense oracle ------------------------------
@@ -415,7 +419,7 @@ def test_sparse_structures_agree_with_the_dense_oracle(built, data):
     assert_same(x, dense)
     assert_canonical(x, defaults)
     assert validate_structure(vocab, x) == dense_validate_structure(vocab, dense)
-    assert parse_structure(format_structure(x)) == x
+    assert reparsed(x) == x
 
     # restating an entry's current value changes nothing; changing it does
     name, args = data.draw(st.sampled_from(list(every_entry(dense))))
