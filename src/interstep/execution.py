@@ -19,7 +19,6 @@ from .errors import EngineError
 from .history import EMPTY_HISTORY, History, Query, append_class, format_history, format_query, query_sort_key
 from .model import (
     AlgorithmSpec,
-    Verdict,
     issued,
     pending,
     update_set,
@@ -80,20 +79,22 @@ class InteractiveEnvironment:
     """Reads batches from a console; the human plays the environment.
 
     Commands: `answer (query) = element` stages one reply, `go` submits the
-    staged replies as one simultaneous batch, `stall` gives up.
+    staged replies as one simultaneous batch, `stall` gives up.  Prompts and
+    complaints go to `dialogue` (the CLI passes stderr), so the stream that
+    carries the trace holds nothing else.
     """
 
-    def __init__(self, stdin: TextIO, stdout: TextIO):
+    def __init__(self, stdin: TextIO, dialogue: TextIO):
         self.stdin = stdin
-        self.stdout = stdout
+        self.dialogue = dialogue
 
     def next_batch(self, state: Structure, history: History, pend: frozenset[Query]) -> Batch | Stall:
-        w = self.stdout.write
+        w = self.dialogue.write
         w("pending: " + " ".join(format_query(q) for q in sorted(pend, key=query_sort_key)) + "\n")
         staged: dict[Query, str] = {}
         while True:
             w("> ")
-            self.stdout.flush()
+            self.dialogue.flush()
             line = self.stdin.readline()
             if not line:
                 return STALL
@@ -149,10 +150,8 @@ class Outcome:
 
 @dataclass(frozen=True)
 class StepTrace:
-    start_state: Structure
     phases: tuple[PhaseRecord, ...]
     final_history: History
-    verdict: Verdict
     outcome: Outcome
     delta: frozenset[Update] | None
     next_state: Structure | None
@@ -170,22 +169,22 @@ def _execute(spec: AlgorithmSpec, x: Structure, env: Environment, max_phases: in
     xi = EMPTY_HISTORY
     phases: list[PhaseRecord] = []
 
-    def trace(outcome: Outcome, v: Verdict, delta=None, nxt=None, pend=frozenset()) -> StepTrace:
-        return StepTrace(x, tuple(phases), xi, v, outcome, delta, nxt, pend)
+    def trace(outcome: Outcome, delta=None, nxt=None, pend=frozenset()) -> StepTrace:
+        return StepTrace(tuple(phases), xi, outcome, delta, nxt, pend)
 
     while True:
         v = compute_verdict(spec, x, xi)
         if v.is_final:
             if v.is_success:
                 delta = update_set(spec, x, xi)
-                return trace(Outcome("success"), v, delta=delta, nxt=apply_updates(x, delta))
-            return trace(Outcome("fail", v.reason), v)
+                return trace(Outcome("success"), delta=delta, nxt=apply_updates(x, delta))
+            return trace(Outcome("fail", v.reason))
         pend = pending(spec, x, xi)
         if xi.length >= max_phases:
-            return trace(Outcome("hang", f"no final history within {max_phases} phases"), v, pend=pend)
+            return trace(Outcome("hang", f"no final history within {max_phases} phases"), pend=pend)
         batch = env.next_batch(x, xi, pend)
         if isinstance(batch, Stall):
-            return trace(Outcome("hang", "environment stalled"), v, pend=pend)
+            return trace(Outcome("hang", "environment stalled"), pend=pend)
         if not batch:
             raise EnvironmentProtocolError("environment returned an empty batch")
         for q, r in batch.items():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NoReturn
+from typing import KeysView, Mapping, NoReturn
 
 from .errors import EngineError
 
@@ -143,9 +143,10 @@ class History:
         """Number of phase classes."""
         return self.entries[-1][2] + 1 if self.entries else 0
 
-    @cached_property
-    def domain(self) -> frozenset[Query]:
-        return frozenset(q for q, _, _ in self.entries)
+    @property
+    def domain(self) -> KeysView[Query]:
+        """The answered queries: a read-only view of `answers`' keys, not a copy."""
+        return self.answers.keys()
 
     @cached_property
     def answers(self) -> dict[Query, str]:
@@ -154,10 +155,6 @@ class History:
     @cached_property
     def phase_map(self) -> dict[Query, int]:
         return {q: p for q, _, p in self.entries}
-
-    @cached_property
-    def reply_range(self) -> frozenset[str]:
-        return frozenset(r for _, r, _ in self.entries)
 
     def reply(self, q: Query) -> str:
         try:

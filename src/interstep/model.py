@@ -26,11 +26,11 @@ Guards are compiled, each at its first use, into functions `f(ev, xi)` that
 the description keeps, keyed by the guard's identity, and shares between its
 states.  A compiled guard takes the evaluator as an argument and holds none,
 so it keeps no evaluator alive.  Its atoms read the evaluator's per-state
-tables, filled on first use: the instance of a template that reads no reply,
-by template name, and the value of a closed term, by the term's repr.  Any
-other template or term goes through `Evaluator.instance` and
-`Evaluator.value`, so a missing or self-referencing template still fails when
-an atom first reads it.
+tables, filled on first use: the instance of a named template that reads no
+reply, by template name (the evaluator's one table of such instances), and
+the value of a closed term, by the term's repr.  Any other template or term
+goes through `Evaluator.instance` and `Evaluator.value`, so a missing or
+self-referencing template still fails when an atom first reads it.
 
 The module-level `holds(ev, xi, guard)` is the one entry point that runs a
 rule guard's compiled function.  It and `causes`, `issued`, `pending`,
@@ -260,11 +260,9 @@ class AlgorithmSpec:
         return _named_template(self._template_by_name, qname)
 
     @cached_property
-    def _reply_free(self) -> frozenset[int]:
-        # ids of the templates that read no reply; each evaluator holds the templates
-        # and the issue rules, so the ids stay unique while it lives
-        own = (*self.templates, *(r.template for r in self.issue_rules))
-        return frozenset(id(t) for t in own if not _reads_replies(t))
+    def _reply_free(self) -> frozenset[str]:
+        # names of the named templates that read no reply
+        return frozenset(name for name, t in self._template_by_name.items() if not _reads_replies(t))
 
     @cached_property
     def _evaluators(self) -> dict[Structure, Evaluator]:
@@ -349,16 +347,16 @@ def _named_template(by_name: dict[str, QueryTemplate], qname: str) -> QueryTempl
 class Evaluator:
     """The semantics of one machine description at one state, memoized per history.
 
-    A template that reads no reply has one instance under every history and
-    is instantiated once; any other template is resolved once per history.
-    A closed term is evaluated once.  `issued` grows along the history, one
-    phase class at a time.
+    One table holds the instance of each named template that reads no reply;
+    other named templates are resolved once per history, and an issue rule's
+    own template whenever the rule fires.  Closed terms are evaluated once.
+    `issued` grows along the history, one phase class at a time.
     """
 
     __slots__ = (
-        "_template_by_name", "issue_rules", "final_rules", "update_rules", "x", "_guards", "_nodes", "_templates",
-        "_reply_free", "_fixed", "_fixed_by_name", "_constants", "_closed", "_instances", "_causes", "_issued",
-        "_verdicts", "_updates", "__weakref__",
+        "_template_by_name", "issue_rules", "final_rules", "update_rules", "x", "_guards", "_nodes", "_reply_free",
+        "_fixed_by_name", "_constants", "_closed", "_instances", "_causes", "_issued", "_verdicts", "_updates",
+        "__weakref__",
     )
 
     def __init__(self, spec: AlgorithmSpec, x: Structure):
@@ -372,9 +370,7 @@ class Evaluator:
         self.x = x
         self._guards = spec._compiled_guards
         self._nodes = spec._compiled_nodes
-        self._templates = spec.templates  # holds the named templates whose ids _reply_free lists
         self._reply_free = spec._reply_free
-        self._fixed: dict[int, Query] = {}
         # instances of the named templates that read no reply, read by compiled atoms
         self._fixed_by_name: dict[str, Query] = {}
         self._constants: dict[Term, str] = {}
@@ -397,7 +393,7 @@ class Evaluator:
         if qname in _active:
             raise InstantiationError(f"query template {qname!r} references itself through replies")
         template = _named_template(self._template_by_name, qname)
-        if id(template) in self._reply_free:
+        if qname in self._reply_free:
             q = self._fixed_by_name[qname] = self.instantiate(xi, template)
             return q
         key = (xi, qname)
@@ -407,9 +403,6 @@ class Evaluator:
 
     def instantiate(self, xi: History, template: QueryTemplate, _active: tuple[str, ...] = ()) -> Query | None:
         """Evaluate a template against a history; None when a needed reply is missing."""
-        q = self._fixed.get(id(template))
-        if q is not None:
-            return q
         parts: list[Label | Elem] = []
         for comp in template.parts:
             if isinstance(comp, Label):
@@ -419,10 +412,7 @@ class Evaluator:
             if value is None:
                 return None
             parts.append(Elem(value))
-        q = Query(tuple(parts))
-        if id(template) in self._reply_free:
-            self._fixed[id(template)] = q
-        return q
+        return Query(tuple(parts))
 
     def _valuation(self, xi: History, term: Term, _active: tuple[str, ...]) -> dict[str, str] | None:
         """Replies for every reply-variable of a term, or None if any is unanswered."""
@@ -433,7 +423,7 @@ class Evaluator:
             if v.name in valuation:
                 continue
             inst = self.instance(xi, v.name, _active)
-            if inst is None or inst not in xi.domain:
+            if inst is None or inst not in xi.answers:
                 return None
             valuation[v.name] = xi.reply(inst)
         return valuation
@@ -484,7 +474,7 @@ class Evaluator:
         return out
 
     def pending(self, xi: History) -> frozenset[Query]:
-        return self.issued(xi) - xi.domain
+        return self.issued(xi).difference(xi.answers)
 
     def matched_final_rules(self, xi: History) -> tuple[FinalRule, ...]:
         return tuple(r for r in self.final_rules if holds(self, xi, r.guard))
@@ -704,7 +694,7 @@ def pending(spec: AlgorithmSpec, x: Structure, xi: History) -> frozenset[Query]:
 
 def is_coherent(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
     """Every answered query was issued on the basis of a strictly earlier prefix."""
-    return all(q in issued(spec, x, restrict_before(xi, q)) for q in xi.domain)
+    return all(q in issued(spec, x, restrict_before(xi, q)) for q in xi.answers)
 
 
 def is_complete(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
@@ -774,8 +764,8 @@ def check_bounds(spec: AlgorithmSpec, x: Structure, attainables: Iterable[Histor
                 )
         if len(qs) > spec.bounds.max_issued:
             issues.append(BoundsIssue(xi, "issued-count", f"{len(qs)} issued queries, bound is {spec.bounds.max_issued}"))
-        if len(xi.domain) > spec.bounds.max_issued:
-            issues.append(BoundsIssue(xi, "domain-size", f"{len(xi.domain)} answered queries, bound is {spec.bounds.max_issued}"))
+        if len(xi.entries) > spec.bounds.max_issued:
+            issues.append(BoundsIssue(xi, "domain-size", f"{len(xi.entries)} answered queries, bound is {spec.bounds.max_issued}"))
     return issues
 
 
@@ -797,7 +787,7 @@ def history_valid_for(x: Structure, xi: History) -> bool:
 
 
 def _witness_agrees(spec: AlgorithmSpec, x: Structure, x2: Structure, xi: History) -> bool:
-    rng = sorted(xi.reply_range)
+    rng = sorted({r for _, r, _ in xi.entries})
     from itertools import product as _product
 
     for term in spec.witness_terms:

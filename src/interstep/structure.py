@@ -432,12 +432,10 @@ def update_sort_key(u: Update) -> tuple:
 def detect_clash(updates: Iterable[Update]) -> Location | None:
     """Return the first (in canonical update order) location assigned two values."""
     ordered = sorted(set(updates), key=update_sort_key)
-    values: dict[Location, set[str]] = {}
-    for u in ordered:
-        values.setdefault(u.location, set()).add(u.value)
-    for u in ordered:
-        if len(values[u.location]) > 1:
-            return u.location
+    # sorted, a location's distinct updates are adjacent and differ in value
+    for a, b in zip(ordered, ordered[1:]):
+        if a.location == b.location:
+            return a.location
     return None
 
 

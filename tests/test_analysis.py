@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import importlib.util
+import tracemalloc
 import weakref
 
 import pytest
 
-from conftest import BROKER_POOL, SPECS, h, lq
+from conftest import BROKER_POOL, ROOT, SPECS, h, lq
+from interstep import analysis
 from interstep.analysis import (
     AnalysisError,
     Divergence,
@@ -34,6 +37,10 @@ from oracle import (
 SMALL = EnumerationConfig(reply_pool=("yes", "no"), max_phases=3, max_domain=4)
 FULL = EnumerationConfig(reply_pool=BROKER_POOL, max_phases=3, max_domain=4)
 AGREEMENT = EnumerationConfig(reply_pool=("client0", "no", "t", "yes"), max_phases=3, max_domain=4)
+
+_specgen_module = importlib.util.spec_from_file_location("specgen", ROOT / "perfbench" / "specgen.py")
+specgen = importlib.util.module_from_spec(_specgen_module)
+_specgen_module.loader.exec_module(specgen)
 
 
 class TestConfig:
@@ -89,6 +96,42 @@ class TestEnumerate:
         res = enumerate_attainable(broker, broker_state, cfg)
         assert res.truncated
         assert all(len(xi.domain) <= 1 for xi in res.histories)
+
+    @pytest.mark.parametrize("pool", [None, ("no", "yes")], ids=["base", "no-yes"])
+    @pytest.mark.parametrize("name", ["broker.isa", "broker_preferred.isa", "broker_sym.isa"])
+    def test_enumeration_is_a_tree(self, monkeypatch, name, pool):
+        """Every child is new: one append per history but the empty one, so nothing needs a seen set."""
+        spec = parse_spec((SPECS / name).read_text())
+        calls = 0
+        append_class = analysis.append_class
+
+        def counting(xi, batch):
+            nonlocal calls
+            calls += 1
+            return append_class(xi, batch)
+
+        monkeypatch.setattr(analysis, "append_class", counting)
+        for sdef in spec.states:
+            calls = 0
+            res = enumerate_attainable(spec, sdef.structure, EnumerationConfig(reply_pool=pool))
+            assert calls == len(res.histories) - 1
+
+    def test_result_memory_per_history_is_bounded(self):
+        """The live bytes of a result, with the spec and its memo tables freed, stay under 880 per history."""
+        spec = parse_spec(specgen.broker_text(3))
+        x = spec.states[0].structure
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = enumerate_attainable(spec, x, EnumerationConfig(reply_pool=("client0", "no", "t", "yes")))
+            del spec
+            gc.collect()
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(res.histories) == 7841
+        assert live / len(res.histories) <= 880
 
 
 class TestBruteForce:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import os
 import re
@@ -13,6 +14,7 @@ import pytest
 
 from conftest import SCRIPTS, SPECS
 from interstep.cli import dispatch
+from interstep.history import History
 
 BROKER = str(SPECS / "broker.isa")
 SMALL = ["--pool", "no,yes", "--max-phases", "3", "--max-domain", "4"]
@@ -61,6 +63,46 @@ def test_equiv_of_different_vocabularies_exits_1_with_a_full_report(tmp_path, mo
     assert all(re.fullmatch(r"[\w.]+=.*", line) for line in lines), lines
     assert "clause.1=fail" in lines
     assert "divergence.detail=vocabularies differ; state sets differ; initial state sets differ" in lines
+
+
+@pytest.mark.parametrize("dialogue", ["", "stall\n"], ids=["eof", "stall"])
+def test_repl_without_answers_exits_2(monkeypatch, dialogue):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(dialogue))
+    code, out = run_cli("repl", BROKER, "--format", "machine")
+    assert code == 2
+    assert out.startswith("outcome=hang\n")
+
+
+def test_repl_machine_output_holds_only_key_value_lines(monkeypatch, capsys):
+    lines = ["answer (offer0) = yes", "answer (nosuch) = yes", "answer (offer1) = maybe", "foo", "go"]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+    code, out = run_cli("repl", BROKER, "--format", "machine")
+    assert code == 0
+    assert out.startswith("outcome=success\n")
+    assert all(re.fullmatch(r"[\w.]+=.*", line) for line in out.splitlines()), out
+    dialogue = capsys.readouterr().err
+    assert "(nosuch) is not pending" in dialogue and "commands:" in dialogue
+
+
+@pytest.mark.parametrize(
+    "old, new, where, word",
+    [
+        ("owner() := reply(choose)", "yes() := reply(choose)", "48:43", "'yes'"),
+        ("witness { client0() ; client1() ; no() ; yes() }", "witness { reply(choose) }", "55:11", "'reply'"),
+        ("final sale1:", "final sale0:", "39:7", "'sale0'"),
+        ("no_sale: when reply(offer0) = no()", "no_sale: when reply(offer0) = $v", "41:37", "$v"),
+    ],
+    ids=["update-static", "witness-reply", "duplicate-rule", "rule-variable"],
+)
+def test_check_rejects_what_validate_rejects(tmp_path, capsys, old, new, where, word):
+    text = (SPECS / "broker.isa").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "bad.isa"
+    path.write_text(text.replace(old, new))
+    code, out = run_cli("check", str(path), *SMALL)
+    assert (code, out) == (4, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: ") and word in err, err
 
 
 def test_stalled_step_exits_2():
@@ -153,6 +195,34 @@ def test_short_and_chain_validates_and_enumerates(tmp_path):
     code, out = run_cli("enumerate", path, *SMALL, "--format", "machine")
     assert code == 0
     assert out == run_cli("enumerate", BROKER, *SMALL, "--format", "machine")[1]
+
+
+def count_histories() -> int:
+    return sum(isinstance(o, History) for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_enumerate_frees_the_histories_before_printing(fmt):
+    # the listing is printed from the sort keys alone: the histories are freed, by
+    # reference counting (the collector is off), before its first line is written
+    at_first_write = []
+
+    class Out(io.StringIO):
+        def write(self, text: str) -> int:
+            if not at_first_write:
+                at_first_write.append(count_histories())
+            return super().write(text)
+
+    gc.collect()
+    before = count_histories()
+    out = Out()
+    gc.disable()
+    try:
+        assert dispatch(["enumerate", BROKER, *SMALL, "--format", fmt], out) == 0
+    finally:
+        gc.enable()
+    assert out.getvalue() == run_cli("enumerate", BROKER, *SMALL, "--format", fmt)[1]
+    assert at_first_write == [before]
 
 
 def write_broker_with_owner_arity(tmp_path, arity: str) -> str:

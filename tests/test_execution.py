@@ -257,6 +257,23 @@ class TestInteractive:
         tr = self.drive(broker, broker_state, "")
         assert tr.outcome.kind == "hang"
 
+    @pytest.mark.parametrize(
+        "line, complaint",
+        [
+            ("answer offer0 = yes", "cannot read query"),
+            ("answer (offer1) = maybe", "'maybe' is not an element of the base set"),
+            ("go", "no answers staged"),
+            ("foo", "commands: answer (query) = element | go | stall"),
+        ],
+        ids=["unparsable", "outside-base", "nothing-staged", "unknown"],
+    )
+    def test_rejected_line_is_reprompted(self, broker, broker_state, line, complaint):
+        dialogue = io.StringIO()
+        env = InteractiveEnvironment(io.StringIO(line + "\nanswer (offer0) = yes\ngo\n"), dialogue)
+        assert step(broker, broker_state, env) == step(broker, broker_state, script_env("yes0.env"))
+        assert complaint in dialogue.getvalue()
+        assert dialogue.getvalue().count("> ") == 3
+
 
 class TestTraceFormat:
     def test_human_format_mentions_the_delta(self, broker, broker_state):
