@@ -33,7 +33,7 @@ from .model import (
     update_set,
     verdict,
 )
-from .structure import Structure, Vocabulary, apply_updates, detect_clash, eval_term, validate_structure
+from .structure import Structure, Vocabulary, apply_updates, detect_clash, eval_term
 
 __all__ = [
     "AlgorithmSpec",
@@ -75,7 +75,6 @@ __all__ = [
     "step",
     "update_set",
     "validate_spec",
-    "validate_structure",
     "verdict",
     "weak_equivalent",
 ]

@@ -31,6 +31,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _count(text: str) -> int:
+    """A step or phase count: an integer that is not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid count {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"count {value} is negative")
+    return value
+
+
 # Built on the first dispatch, not at import, and reused by later ones:
 # parse_args returns a fresh Namespace per call.
 @functools.cache
@@ -50,21 +61,21 @@ def _build_parser() -> _Parser:
     sp.add_argument("spec", type=Path)
     sp.add_argument("--state", help="state name (defaults to the sole state)")
     sp.add_argument("--script", type=Path, required=True)
-    sp.add_argument("--max-phases", type=int, default=64)
+    sp.add_argument("--max-phases", type=_count, default=64)
     add_common(sp)
 
     sp = sub.add_parser("repl", help="execute one step with a human environment")
     sp.add_argument("spec", type=Path)
     sp.add_argument("--state")
-    sp.add_argument("--max-phases", type=int, default=64)
+    sp.add_argument("--max-phases", type=_count, default=64)
     add_common(sp)
 
     sp = sub.add_parser("run", help="execute a multi-step run, replaying the script each step")
     sp.add_argument("spec", type=Path)
     sp.add_argument("--state", help="initial state name (defaults to the sole initial state)")
     sp.add_argument("--script", type=Path, required=True)
-    sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--max-phases", type=int, default=64)
+    sp.add_argument("--steps", type=_count, required=True)
+    sp.add_argument("--max-phases", type=_count, default=64)
     sp.add_argument("--stop-on-fixpoint", action="store_true")
     add_common(sp)
 

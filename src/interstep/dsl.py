@@ -9,7 +9,7 @@ Grammar (canonical section order; `#` comments run to end of line):
     labels     := "labels" "{" NAME* "}"
     states     := stateblock+ "initial" NAME+
     stateblock := "state" NAME "{" "base" NAME+ interpline* "}"
-    interpline := "interp" (NAME | "not" | "and" | "or") "(" NAME* ")" "=" NAME
+    interpline := "interp" NAME "(" NAME* ")" "=" NAME
     queries    := ("query" NAME "=" qtuple)*
     qtuple     := "(" component+ ")"                            # space separated
     component  := LABEL | term
@@ -25,10 +25,14 @@ Grammar (canonical section order; `#` comments run to end of line):
     term       := "reply" "(" QNAME ")"                         # not in witness terms
                 | "$" NAME                                      # only in witness terms
                 | NAME "(" [term ("," term)*] ")" | NAME        # bare NAME: nullary symbol
-    bounds     := "bounds" "{" "max_query_len" NAT "max_issued" NAT "}"
+    bounds     := "bounds" "{" "max_query_len" NAT "max_issued" NAT "}"   # each NAT at least 1
     witness    := "witness" "{" [term (";" term)*] "}"
 
-Rule names are unique, and an update rule's symbol is dynamic.
+Rule names are unique, and an update rule's symbol is dynamic.  A query
+template reads the replies of earlier templates only, so reply references
+are acyclic.  A state's `interp` lines keep the logic conventions (see
+`interstep.structure`): an entry of Boole or eq may only restate its fixed
+value.
 
 Query and history literals, scripts and iso files share the lexer and the
 parser.  WORD is a NAME or a keyword.  Inside a query's parentheses `#`
@@ -45,7 +49,7 @@ once; an iso maps unlisted elements to themselves.
 Precedence is not > and > or, left-associative.  `start` holds exactly of the
 empty history.  `not`, `and`, `or` are reserved in guard position, so terms
 in source cannot apply the logic connectives (build such terms via the API;
-`Boole` and `eq` remain spellable; `interp` lines may list them).  `reply(q) = t`
+`Boole` and `eq` remain spellable).  `reply(q) = t`
 always parses as the reply-comparison atom.  `not`, parenthesized guards and
 term arguments nest at most MAX_NESTING deep, and each `and`/`or` of a chain
 counts as one more level.
@@ -90,10 +94,7 @@ from .model import (
 )
 from .spans import Span
 from .structure import (
-    AND,
     LOGIC_NAMES,
-    NOT,
-    OR,
     App,
     ReplyVar,
     Structure,
@@ -105,7 +106,6 @@ from .structure import (
     format_symbol_decl,
     format_term,
     term_variables,
-    validate_structure,
 )
 
 
@@ -249,6 +249,7 @@ class _Parser:
         self.labels: set[str] = set()
         self.vocab: Vocabulary | None = None
         self.template_names: set[str] = set()
+        self.template: str | None = None  # the query template being parsed
         self.decl_spans: dict[str, Span] = {}
         self.depth = 0
         self.in_witness = False  # whether terms take `$NAME` rather than `reply(QNAME)`
@@ -393,8 +394,7 @@ class _Parser:
             interp: dict[str, dict[tuple[str, ...], str]] = {}
             while self.at("interp"):
                 self.advance()
-                # the connectives are keywords, but a state may interpret them
-                sym_tok = self.advance() if self.at(NOT, AND, OR) else self.ident("symbol name")
+                sym_tok = self.ident("symbol name")
                 if sym_tok.text not in self.vocab:
                     raise DslNameError(f"unknown symbol {sym_tok.text!r}", sym_tok.span)
                 self.expect("(")
@@ -439,9 +439,10 @@ class _Parser:
             name_tok = self.ident("query template name")
             if name_tok.text in self.template_names:
                 raise DslNameError(f"query template {name_tok.text!r} declared twice", name_tok.span)
-            self.template_names.add(name_tok.text)
+            self.template = name_tok.text
             self.expect("=")
             parts = self.parse_qtuple(self.parse_component)
+            self.template_names.add(name_tok.text)
             templates.append(QueryTemplate(name_tok.text, parts, self.span_from(start)))
         return templates
 
@@ -503,7 +504,8 @@ class _Parser:
     def _template_ref(self) -> str:
         tok = self.ident("query template name")
         if tok.text not in self.template_names:
-            raise DslNameError(f"query template {tok.text!r} is not declared", tok.span)
+            what = "reads its own reply" if tok.text == self.template else "is not declared"
+            raise DslNameError(f"query template {tok.text!r} {what}", tok.span)
         return tok.text
 
     # guards
@@ -643,13 +645,20 @@ class _Parser:
         key1 = self.ident("max_query_len")
         if key1.text != "max_query_len":
             raise DslSyntaxError("expected 'max_query_len'", key1.span, expected=("max_query_len",))
-        max_query_len = self.nat()
+        max_query_len = self.bound(key1)
         key2 = self.ident("max_issued")
         if key2.text != "max_issued":
             raise DslSyntaxError("expected 'max_issued'", key2.span, expected=("max_issued",))
-        max_issued = self.nat()
+        max_issued = self.bound(key2)
         self.expect("}")
         return Bounds(max_query_len, max_issued, self.span_from(start))
+
+    def bound(self, key: Token) -> int:
+        tok = self.peek()
+        value = self.nat()
+        if value < 1:
+            raise DslSyntaxError(f"{key.text} must be at least 1, found {tok.text}", tok.span)
+        return value
 
     def parse_witness(self) -> list[WitnessDecl]:
         self.expect("witness")
@@ -979,9 +988,6 @@ def validate_spec(spec: AlgorithmSpec, *, strict: bool = False) -> list[SpecDiag
     for s in spec.states:
         if s.structure.vocab != spec.vocab:
             err("state-vocabulary", f"state {s.name!r} uses a different vocabulary", s.span)
-            continue
-        for issue in validate_structure(spec.vocab, s.structure):
-            err("structure", f"state {s.name!r}: {issue.message}", s.span)
     if spec.bounds.max_query_len < 1 or spec.bounds.max_issued < 1:
         err("bounds-positive", "declared bounds must be positive", spec.bounds.span)
     for label in sorted(spec.labels):

@@ -4,7 +4,12 @@ A structure is an immutable, total interpretation of a finite vocabulary over
 a finite base set of opaque element identifiers.  The element order used for
 iteration and reporting is the lexicographic one; it carries no semantic
 weight.  Every vocabulary contains the logic names (true, false, undef,
-Boole, eq, not, and, or) whose interpretations follow fixed conventions.
+Boole, eq, not, and, or), and every structure keeps their conventions: true,
+false and undef denote three distinct elements, a relational symbol takes
+only the values that true and false denote, and Boole, eq and the
+connectives have their fixed meaning.  These are invariants: building a
+structure that breaks one raises StructureError, whether through
+`Structure.make`, `apply_updates` or an isomorphism's transport.
 
 A structure stores only the entries that differ from their defaults and
 derives the others when read.  With t, f and u the elements that true, false
@@ -207,9 +212,10 @@ class Structure:
     def make(vocab: Vocabulary, base: Iterable[str], interp: Interp | None = None) -> Structure:
         """Build a structure from explicit entries; every unlisted entry takes its default.
 
-        Explicit entries override anything, including the logic conventions,
-        so deliberately non-conforming structures can be built and then
-        caught by validate_structure.
+        The entries must keep the logic conventions of the module docstring,
+        or StructureError is raised: an entry of Boole, eq, `not`, `and` or
+        `or` may only restate its fixed value, and is then dropped like any
+        other default.
         """
         elems = frozenset(base)
         if not elems:
@@ -291,8 +297,9 @@ def _canonical(vocab: Vocabulary, base: tuple[str, ...], interp: Interp) -> Stru
     """The structure over a sorted base that gives interp's entries and the defaults elsewhere.
 
     Every structure is built here: an entry equal to its default is dropped,
-    so equal interpretations get equal fields.  The caller has checked the
-    entries against the vocabulary and the base.
+    so equal interpretations get equal fields, and an entry that breaks a
+    logic convention raises.  The caller has checked the entries against the
+    vocabulary and the base.
     """
 
     def designated(name: str) -> str:
@@ -304,76 +311,29 @@ def _canonical(vocab: Vocabulary, base: tuple[str, ...], interp: Interp) -> Stru
         raise StructureError(f"no interpretation for {name!r} and no same-named base element")
 
     t, f, u = designated(TRUE), designated(FALSE), designated(UNDEF)
+    if len({t, f, u}) < 3:
+        raise StructureError(f"true, false and undef must denote distinct elements, not {t!r}, {f!r} and {u!r}")
     tables = []
     for name in sorted(interp):
         relational = vocab.decl(name).relational
         kept = tuple(
             sorted((args, v) for args, v in interp[name].items() if v != _default(name, args, relational, t, f, u))
         )
-        if kept:
-            tables.append((name, kept))
-    return Structure(vocab, base, tuple(tables))
-
-
-# --- Validation -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StructureIssue:
-    """One violated structure convention, naming the symbol and a witness tuple."""
-
-    code: str
-    symbol: str | None
-    witness: tuple[str, ...]
-    message: str
-
-
-_CONVENTION_CODES = {
-    BOOLE: "boole-convention",
-    EQ: "equality-convention",
-    NOT: "connective-convention",
-    AND: "connective-convention",
-    OR: "connective-convention",
-}
-
-
-def validate_structure(vocab: Vocabulary, x: Structure) -> list[StructureIssue]:
-    """Check every structure convention; an empty list means all hold.
-
-    A default entry keeps every convention, so only listed entries are read.
-    """
-    issues: list[StructureIssue] = []
-    if x.vocab != vocab:
-        issues.append(StructureIssue("vocabulary", None, (), "structure built over a different vocabulary"))
-        return issues
-    if not x.base:
-        issues.append(StructureIssue("base", None, (), "base set is empty"))
-        return issues
-    t, f, u = x.true_el, x.false_el, x.undef_el
-    for a, b in ((TRUE, FALSE), (TRUE, UNDEF), (FALSE, UNDEF)):
-        if x.value(a) == x.value(b):
-            issues.append(
-                StructureIssue("distinctness", a, (), f"{a} and {b} denote the same element {x.value(a)!r}")
-            )
-    bools = {t, f}
-    for name, entries in x.tables:
-        if vocab.decl(name).relational:
-            for args, v in entries:
-                if v not in bools:
-                    issues.append(
-                        StructureIssue(
-                            "relational-range",
-                            name,
-                            args,
-                            f"relational symbol {name!r} yields non-boolean {v!r} at {args!r}",
-                        )
-                    )
-    listed = dict(x.tables)
-    for name, code in _CONVENTION_CODES.items():
-        for args, got in listed.get(name, ()):
+        if not kept:
+            continue
+        # a stored entry of these symbols differs from its fixed value
+        if name == EQ or name in _CONNECTIVES:
+            args, v = kept[0]
             want = _default(name, args, True, t, f, u)
-            issues.append(StructureIssue(code, name, args, f"{name} at {args!r} is {got!r}, convention requires {want!r}"))
-    return issues
+            raise StructureError(f"{name} at ({' '.join(args)}) is {v!r}, but the convention gives {want!r}")
+        if relational:
+            for args, v in kept:
+                if v != t and v != f:
+                    raise StructureError(
+                        f"relational symbol {name!r} takes the non-Boolean value {v!r} at ({' '.join(args)})"
+                    )
+        tables.append((name, kept))
+    return Structure(vocab, base, tuple(tables))
 
 
 # --- Term evaluation --------------------------------------------------------

@@ -18,8 +18,11 @@ and `issued` is the union of `causes` over all initial segments.  They check
 every symbol's table of |base|^arity entries, the logic tables derived in
 full, and `dense_apply_updates`, `dense_transport`, `dense_validate_structure`
 and `dense_check_isomorphism` walk those tables.  They check the sparse
-`interstep.structure.Structure`.  `all_locations`, `location_value` and
-`is_trivial` read any structure.
+`interstep.structure.Structure`.  Explicit entries override anything here, so
+a dense structure may break the logic conventions; `dense_validate_structure`
+lists each broken one as a `ConventionIssue`, and the sparse structure must
+refuse to be built exactly when the list is not empty.  `all_locations`,
+`location_value` and `is_trivial` read any structure.
 
 `is_initial_segment`, `restrict_upto`, `common_prefix_comparable` and
 `complete_history` (with the `PreconditionViolation` and `CapExceeded` it
@@ -107,7 +110,6 @@ from interstep.structure import (
     Location,
     Structure,
     StructureError,
-    StructureIssue,
     Term,
     Update,
     Var,
@@ -121,6 +123,7 @@ from interstep.structure import (
 
 __all__ = [
     "CapExceeded",
+    "ConventionIssue",
     "DenseStructure",
     "PreconditionViolation",
     "agreement_property",
@@ -135,6 +138,7 @@ __all__ = [
     "dense_check_isomorphism",
     "dense_transport",
     "dense_validate_structure",
+    "derived_logic_tables",
     "format_iso",
     "format_script",
     "holds",
@@ -554,19 +558,30 @@ def dense_check_isomorphism(mapping: dict[str, str], x: DenseStructure, y: Dense
     return True
 
 
-def dense_validate_structure(vocab: Vocabulary, x: DenseStructure) -> list[StructureIssue]:
-    issues: list[StructureIssue] = []
+@dataclass(frozen=True)
+class ConventionIssue:
+    """One broken logic convention, naming the symbol and a witness tuple."""
+
+    code: str
+    symbol: str | None
+    witness: tuple[str, ...]
+    message: str
+
+
+def dense_validate_structure(vocab: Vocabulary, x: DenseStructure) -> list[ConventionIssue]:
+    """Every logic convention x breaks, read off its full tables; `Structure.make` raises iff one is."""
+    issues: list[ConventionIssue] = []
     if x.vocab != vocab:
-        issues.append(StructureIssue("vocabulary", None, (), "structure built over a different vocabulary"))
+        issues.append(ConventionIssue("vocabulary", None, (), "structure built over a different vocabulary"))
         return issues
     if not x.base:
-        issues.append(StructureIssue("base", None, (), "base set is empty"))
+        issues.append(ConventionIssue("base", None, (), "base set is empty"))
         return issues
     t, f, u = x.true_el, x.false_el, x.undef_el
     for a, b in ((TRUE, FALSE), (TRUE, UNDEF), (FALSE, UNDEF)):
         if x.value(a) == x.value(b):
             issues.append(
-                StructureIssue("distinctness", a, (), f"{a} and {b} denote the same element {x.value(a)!r}")
+                ConventionIssue("distinctness", a, (), f"{a} and {b} denote the same element {x.value(a)!r}")
             )
     bools = {t, f}
     expected = derived_logic_tables(x.base, t, f, u)
@@ -576,7 +591,7 @@ def dense_validate_structure(vocab: Vocabulary, x: DenseStructure) -> list[Struc
                 v = x.value(d.name, args)
                 if v not in bools:
                     issues.append(
-                        StructureIssue(
+                        ConventionIssue(
                             "relational-range",
                             d.name,
                             args,
@@ -588,14 +603,14 @@ def dense_validate_structure(vocab: Vocabulary, x: DenseStructure) -> list[Struc
             got = x.value(name, args)
             if got != want:
                 issues.append(
-                    StructureIssue(code, name, args, f"{name} at {args!r} is {got!r}, convention requires {want!r}")
+                    ConventionIssue(code, name, args, f"{name} at {args!r} is {got!r}, convention requires {want!r}")
                 )
     for name in (NOT, AND, OR):
         for args, want in expected[name].items():
             got = x.value(name, args)
             if got != want:
                 issues.append(
-                    StructureIssue(
+                    ConventionIssue(
                         "connective-convention",
                         name,
                         args,

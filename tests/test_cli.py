@@ -91,8 +91,10 @@ def test_repl_machine_output_holds_only_key_value_lines(monkeypatch, capsys):
         ("witness { client0() ; client1() ; no() ; yes() }", "witness { reply(choose) }", "55:11", "'reply'"),
         ("final sale1:", "final sale0:", "39:7", "'sale0'"),
         ("no_sale: when reply(offer0) = no()", "no_sale: when reply(offer0) = $v", "41:37", "$v"),
+        ("max_issued 5", "max_issued 0", "52:14", "max_issued must be at least 1"),  # was exit 3
+        ("query choose = (choose)", "query choose = (choose reply(choose))", "28:30", "reads its own reply"),
     ],
-    ids=["update-static", "witness-reply", "duplicate-rule", "rule-variable"],
+    ids=["update-static", "witness-reply", "duplicate-rule", "rule-variable", "bound-zero", "template-self-reply"],
 )
 def test_check_rejects_what_validate_rejects(tmp_path, capsys, old, new, where, word):
     text = (SPECS / "broker.isa").read_text()
@@ -103,6 +105,46 @@ def test_check_rejects_what_validate_rejects(tmp_path, capsys, old, new, where, 
     assert (code, out) == (4, "")
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: ") and word in err, err
+
+
+@pytest.mark.parametrize("command", [["check", *SMALL], ["enumerate", *SMALL], ["equiv", BROKER, *SMALL], ["validate"]])
+def test_state_that_breaks_a_logic_convention_exits_4_at_the_state(tmp_path, capsys, command):
+    path = tmp_path / "eq.isa"
+    override = "  interp yes () = yes\n  interp eq (yes no) = true\n"
+    path.write_text((SPECS / "broker.isa").read_text().replace("  interp yes () = yes\n", override))
+    assert run_cli(command[0], str(path), *command[1:]) == (4, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: 18:1: state 'X0': eq at (yes no) is 'true', but the convention gives 'false'"), err
+
+
+@pytest.mark.parametrize("command", [["step"], ["run", "--steps", "2"]])
+def test_update_to_a_non_boolean_relational_value_exits_4(tmp_path, capsys, command):
+    text = (SPECS / "broker.isa").read_text()
+    for old, new in (
+        ("  dynamic owner/0\n", "  dynamic owner/0\n  dynamic relational sold/0\n"),
+        ("update sell0:", "update mark: when reply(offer0) = yes() sold() := client0()\nupdate sell0:"),
+    ):
+        text = text.replace(old, new)
+    path = tmp_path / "sold.isa"
+    path.write_text(text)
+    assert run_cli("validate", str(path))[0] == 0
+    assert run_cli(command[0], str(path), "--script", str(SCRIPTS / "yes0.env"), *command[1:]) == (4, "")
+    assert "relational symbol 'sold' takes the non-Boolean value 'client0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["step", BROKER, "--script", str(SCRIPTS / "yes0.env"), "--max-phases", "-3"],  # was exit 2
+        ["repl", BROKER, "--max-phases", "-1"],
+        ["run", BROKER, "--script", str(SCRIPTS / "yes0.env"), "--steps", "-1"],  # was exit 0
+        ["run", BROKER, "--script", str(SCRIPTS / "yes0.env"), "--steps", "1", "--max-phases", "-1"],
+    ],
+    ids=["step-max-phases", "repl-max-phases", "run-steps", "run-max-phases"],
+)
+def test_negative_count_exits_4(capsys, argv):
+    assert run_cli(*argv) == (4, "")
+    assert "is negative" in capsys.readouterr().err
 
 
 def test_stalled_step_exits_2():

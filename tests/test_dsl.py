@@ -299,14 +299,13 @@ class TestValidate:
         spec = dataclasses.replace(broker, bounds=dataclasses.replace(broker.bounds, max_issued=0))
         assert any(d.code == "bounds-positive" for d in validate_spec(spec))
 
-    def test_bad_state_structure_reported(self, broker):
-        from interstep.structure import Structure
+    def test_bad_state_structure_rejected(self, broker):
+        from interstep.structure import Structure, StructureError
 
         interp = {name: dict(entries) for name, entries in broker.states[0].structure.tables}
         interp.setdefault("true", {})[()] = "false"
-        bad = Structure.make(broker.vocab, broker.states[0].structure.base, interp)
-        spec = dataclasses.replace(broker, states=(dataclasses.replace(broker.states[0], structure=bad),))
-        assert any(d.code == "structure" for d in validate_spec(spec))
+        with pytest.raises(StructureError, match="true, false and undef must denote distinct elements"):
+            Structure.make(broker.vocab, broker.states[0].structure.base, interp)
 
     def test_template_cycle_detected(self, broker):
         from interstep.history import Label

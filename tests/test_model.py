@@ -12,6 +12,7 @@ from interstep.analysis import EnumerationConfig, enumerate_attainable
 from interstep.dsl import parse_spec
 from interstep.history import EMPTY_HISTORY, Elem, History, Label, Query, history_sort_key, mk_history
 from interstep.model import (
+    AlgorithmSpec,
     And,
     Answered,
     Before,
@@ -343,6 +344,17 @@ def outcome(semantics, *args) -> tuple[str, object]:
         return ("error", type(exc))
 
 
+def self_referencing_confirm() -> AlgorithmSpec:
+    """`broker_with_confirm` with `(confirm reply(confirm))`, which the parser rejects, built through the API."""
+    spec = broker_with_confirm("(confirm reply(choose))")
+    parts = (Label("confirm"), ReplyVar("confirm"))
+    templates = tuple(dataclasses.replace(t, parts=parts) if t.name == "confirm" else t for t in spec.templates)
+    rules = tuple(
+        dataclasses.replace(r, template=QueryTemplate(None, parts)) if r.name == "conf" else r for r in spec.issue_rules
+    )
+    return dataclasses.replace(spec, templates=templates, issue_rules=rules)
+
+
 class TestEvaluatorMatchesReference:
     @pytest.mark.parametrize("name", ["broker", "broker_preferred", "broker_sym", "broker_confirm"])
     def test_every_attainable_history(self, request, name):
@@ -366,7 +378,7 @@ class TestEvaluatorMatchesReference:
                 assert update_set(spec, x, xi) == reference_update_set(spec, x, xi)
 
     def test_self_referencing_template_raises(self):
-        spec = broker_with_confirm("(confirm reply(confirm))")
+        spec = self_referencing_confirm()
         x = spec.state("X0")
         tie = h(("offer0", "yes", 0), ("offer1", "yes", 0), ("choose", "client0", 1))
         for semantics in (causes, verdict, reference_causes, reference_verdict):
@@ -377,7 +389,7 @@ class TestEvaluatorMatchesReference:
 
 class TestCompiledGuards:
     def test_self_referencing_template_raises_at_evaluation(self):
-        spec = broker_with_confirm("(confirm reply(confirm))")  # parses
+        spec = self_referencing_confirm()
         ev = spec.evaluator(spec.state("X0"))
         guard = Or(Start(), Answered("confirm"))
         assert holds(ev, EMPTY_HISTORY, guard)  # compiled; the atom is not reached

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interstep.dsl import parse_spec, print_spec, validate_spec
+from interstep.dsl import DslNameError, DslSyntaxError, parse_spec, print_spec
 from interstep.errors import EngineError
 from interstep.history import Elem, Label, Query
 from interstep.isomorphism import (
@@ -33,7 +33,6 @@ from interstep.structure import (
     detect_clash,
     eval_term,
     update,
-    validate_structure,
 )
 from oracle import (
     DenseStructure,
@@ -42,6 +41,7 @@ from oracle import (
     dense_check_isomorphism,
     dense_transport,
     dense_validate_structure,
+    derived_logic_tables,
     is_trivial,
     location_value,
 )
@@ -93,47 +93,36 @@ class TestVocabulary:
         assert vocab.decl("eq").static is True
 
 
-class TestValidateStructure:
-    def test_broker_state_is_clean(self, broker, broker_state):
-        assert validate_structure(broker.vocab, broker_state) == []
+class TestConventions:
+    """A structure that breaks a logic convention is never built."""
 
-    def test_fixture_state_is_clean(self, vocab, x):
-        assert validate_structure(vocab, x) == []
+    BASE = ["true", "false", "undef", "client0", "client1", "yes"]
 
-    def test_true_equal_false_flags_distinctness(self, vocab):
-        bad = Structure.make(
-            vocab,
-            ["true", "false", "undef", "client0", "client1", "yes"],
-            {"true": {(): "false"}},
-        )
-        issues = validate_structure(vocab, bad)
-        assert any(i.code == "distinctness" for i in issues)
+    def test_true_equal_false_is_rejected(self, vocab):
+        with pytest.raises(StructureError, match="true, false and undef must denote distinct elements"):
+            Structure.make(vocab, self.BASE, {"true": {(): "false"}})
 
-    def test_relational_symbol_yielding_undef_is_flagged(self, vocab):
-        bad = Structure.make(
-            vocab,
-            ["true", "false", "undef", "client0", "client1", "yes"],
-            {"sold": {(): "undef"}},
-        )
-        issues = validate_structure(vocab, bad)
-        assert [i.code for i in issues] == ["relational-range"]
-        assert issues[0].symbol == "sold"
+    def test_relational_symbol_yielding_undef_is_rejected(self, vocab):
+        with pytest.raises(StructureError, match="relational symbol 'sold' takes the non-Boolean value 'undef'"):
+            Structure.make(vocab, self.BASE, {"sold": {(): "undef"}})
 
-    def test_corrupted_boole_is_flagged(self, vocab):
-        bad = Structure.make(
-            vocab,
-            ["true", "false", "undef", "client0", "client1", "yes"],
-            {"Boole": {("yes",): "true"}},
-        )
-        assert any(i.code == "boole-convention" for i in validate_structure(vocab, bad))
+    def test_corrupted_boole_is_rejected(self, vocab):
+        with pytest.raises(StructureError, match=r"Boole at \(yes\) is 'true', but the convention gives 'false'"):
+            Structure.make(vocab, self.BASE, {"Boole": {("yes",): "true"}})
 
-    def test_corrupted_connective_is_flagged(self, vocab):
-        bad = Structure.make(
-            vocab,
-            ["true", "false", "undef", "client0", "client1", "yes"],
-            {"and": {("true", "true"): "false"}},
-        )
-        assert any(i.code == "connective-convention" for i in validate_structure(vocab, bad))
+    def test_corrupted_connective_is_rejected(self, vocab):
+        with pytest.raises(StructureError, match=r"and at \(true true\) is 'false'"):
+            Structure.make(vocab, self.BASE, {"and": {("true", "true"): "false"}})
+
+    def test_restated_convention_is_dropped(self, vocab, x):
+        restated = {"eq": {("yes", "yes"): "true"}, "and": {("true", "yes"): "false"}, "sold": {(): "false"}}
+        entries = {name: dict(listed) for name, listed in x.tables}
+        assert Structure.make(vocab, x.base, {**entries, **restated}) == x
+
+    def test_update_to_a_non_boolean_relational_value_is_rejected(self, x):
+        with pytest.raises(StructureError, match="relational symbol 'sold' takes the non-Boolean value 'yes'"):
+            apply_updates(x, {update("sold", (), "yes")})
+        assert apply_updates(x, {update("sold", (), "true")}).value("sold") == "true"
 
 
 class TestEvalTerm:
@@ -286,11 +275,12 @@ class TestIsomorphism:
         y_bad = apply_updates(y, {update("owner", (), "yes")})
         assert check_isomorphism(swap, x, y_bad) is False
 
-    def test_transport_preserves_validity(self, vocab, x):
+    def test_transport_rejects_a_structure_built_around_the_conventions(self, x):
+        # the dataclass constructor skips the checks; transport builds its image through them
+        bad = Structure(x.vocab, x.base, (*x.tables, ("sold", (((), "yes"),))))
         swap = Isomorphism.of({**{e: e for e in x.base}, "client0": "client1", "client1": "client0"})
-        y = apply_isomorphism(swap, x)
-        assert validate_structure(vocab, x) == []
-        assert validate_structure(vocab, y) == []
+        with pytest.raises(StructureError, match="relational symbol 'sold'"):
+            apply_isomorphism(swap, bad)
 
     def test_eval_commutes_with_isomorphism(self, x):
         swap = Isomorphism.of({**{e: e for e in x.base}, "client0": "client1", "client1": "client0"})
@@ -349,12 +339,16 @@ class TestStructureText:
         assert x.true_el == "t0"
         assert reparsed(x) == x
 
-    def test_connective_override_round_trips(self):
-        x = state_from_text("", "base false true undef interp not (true) = true interp or (false false) = true")
-        assert x.value("not", ("true",)) == "true"
-        assert reparsed(x) == x
-        assert [i.code for i in validate_structure(x.vocab, x)] == ["connective-convention"] * 2
-        assert [d.code for d in validate_spec(one_state_spec(x))] == ["structure"] * 2
+    def test_connective_override_is_rejected(self):
+        with pytest.raises(DslSyntaxError, match="4:40: expected symbol name, found 'not'"):
+            state_from_text("", "base false true undef interp not (true) = true")
+        with pytest.raises(DslNameError, match=r"4:1: state 'S': eq at \(true false\) is 'true'"):
+            state_from_text("", "base false true undef interp eq (true false) = true")
+
+    def test_restated_convention_parses_and_prints_without_its_line(self):
+        x = state_from_text("", "base false true undef interp eq (true true) = true interp Boole (undef) = false")
+        assert x == state_from_text("", "base false true undef")
+        assert "interp" not in print_spec(one_state_spec(x))
 
 
 # --- The sparse structure against the dense oracle ------------------------------
@@ -365,8 +359,13 @@ LOGIC_ARITIES = {"Boole": 1, "eq": 2, "not": 1, "and": 2, "or": 2, "true": 0, "f
 
 
 @st.composite
-def small_structures(draw):
-    """A vocabulary, a base of 3-5 elements and explicit entries, some overriding the logic."""
+def small_structures(draw, conforming: bool = False):
+    """A vocabulary, a base of 3-5 elements and explicit entries.
+
+    Entries may break the logic conventions, unless `conforming`: then true,
+    false and undef denote distinct elements, a logic entry restates its
+    fixed value and a relational entry is what true or false denotes.
+    """
     base = draw(st.lists(st.sampled_from(ELEMENTS), min_size=3, max_size=5, unique=True))
     decls = [
         SymbolDecl(f"s{i}", draw(st.integers(0, 3)), static=draw(st.booleans()), relational=draw(st.booleans()))
@@ -375,15 +374,27 @@ def small_structures(draw):
     vocab = Vocabulary.make(decls)
     element = st.sampled_from(base)
     interp: dict[str, dict[tuple[str, ...], str]] = {}
+    # a designated name in the base most often denotes its namesake
+    implicit = [name for name in DESIGNATED if name in base and draw(st.integers(0, 3))]
+    spare = iter([e for e in draw(st.permutations(base)) if e not in implicit])
     for name in DESIGNATED:
-        if name not in base or draw(st.integers(0, 3)) == 0:
-            interp[name] = {(): draw(element)}
+        if name not in implicit:
+            interp[name] = {(): next(spare) if conforming else draw(element)}
+    t, f, u = (interp[name][()] if name in interp else name for name in DESIGNATED)
+    fixed = derived_logic_tables(tuple(base), t, f, u)
+    relational = {d.name for d in vocab.symbols if d.relational}
     arities = {**LOGIC_ARITIES, **{d.name: d.arity for d in decls}}
     symbols = sorted(set(arities) - set(DESIGNATED))
     for _ in range(draw(st.integers(0, 8))):
         name = draw(st.sampled_from(symbols))
         args = tuple(draw(element) for _ in range(arities[name]))
-        interp.setdefault(name, {})[args] = draw(element)
+        if not conforming:
+            value = draw(element)
+        elif name in fixed:
+            value = fixed[name][args]
+        else:
+            value = draw(st.sampled_from((t, f)) if name in relational else element)
+        interp.setdefault(name, {})[args] = value
     return vocab, base, interp
 
 
@@ -409,8 +420,34 @@ def assert_canonical(x: Structure, defaults: DenseStructure) -> None:
         assert ((name, args) in stored) == (x.value(name, args) != default), (name, args)
 
 
+def builds(make, *args) -> bool:
+    """Whether make(*args) returns rather than raising StructureError."""
+    try:
+        make(*args)
+    except StructureError:
+        return False
+    return True
+
+
 @settings(max_examples=150, deadline=None)
-@given(small_structures(), st.data())
+@given(small_structures(), small_structures(conforming=True), st.data())
+def test_structures_are_built_exactly_when_the_dense_oracle_finds_no_issue(built, conforming, data):
+    vocab, base, interp = built
+    dense = DenseStructure.make(vocab, base, interp)
+    assert builds(Structure.make, vocab, base, interp) == (not dense_validate_structure(vocab, dense))
+
+    # from a conforming structure, an update set may give a relational location a non-Boolean value
+    vocab, base, interp = conforming
+    x, dense = Structure.make(vocab, base, interp), DenseStructure.make(vocab, base, interp)
+    locations = list(all_locations(dense))
+    chosen = data.draw(st.lists(st.sampled_from(locations), max_size=4, unique=True)) if locations else []
+    delta = {update(loc.symbol, loc.args, data.draw(st.sampled_from(x.base))) for loc in chosen}
+    moved = dense_apply_updates(dense, delta)
+    assert builds(apply_updates, x, delta) == (not dense_validate_structure(vocab, moved))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_structures(conforming=True), st.data())
 def test_sparse_structures_agree_with_the_dense_oracle(built, data):
     vocab, base, interp = built
     x, dense = Structure.make(vocab, base, interp), DenseStructure.make(vocab, base, interp)
@@ -418,12 +455,15 @@ def test_sparse_structures_agree_with_the_dense_oracle(built, data):
     defaults = DenseStructure.make(vocab, base, {n: e for n, e in interp.items() if n in DESIGNATED})
     assert_same(x, dense)
     assert_canonical(x, defaults)
-    assert validate_structure(vocab, x) == dense_validate_structure(vocab, dense)
     assert reparsed(x) == x
 
     # restating an entry's current value changes nothing; changing it does
     name, args = data.draw(st.sampled_from(list(every_entry(dense))))
-    value = data.draw(st.sampled_from(x.base))
+    if name in LOGIC_ARITIES:
+        values = [dense.value(name, args)]
+    else:
+        values = [x.true_el, x.false_el] if vocab.decl(name).relational else list(x.base)
+    value = data.draw(st.sampled_from(values))
     y_interp = {**interp, name: {**interp.get(name, {}), args: value}}
     y, dense_y = Structure.make(vocab, base, y_interp), DenseStructure.make(vocab, base, y_interp)
     assert_same(y, dense_y)
@@ -434,7 +474,11 @@ def test_sparse_structures_agree_with_the_dense_oracle(built, data):
     locations = list(all_locations(dense))
     if locations:
         chosen = data.draw(st.lists(st.sampled_from(locations), max_size=4, unique=True))
-        delta = {update(loc.symbol, loc.args, data.draw(st.sampled_from(x.base))) for loc in chosen}
+        booleans, elements = st.sampled_from((x.true_el, x.false_el)), st.sampled_from(x.base)
+        delta = {
+            update(loc.symbol, loc.args, data.draw(booleans if vocab.decl(loc.symbol).relational else elements))
+            for loc in chosen
+        }
         delta |= {
             update(n, a, defaults.value(n, a))
             for n, entries in x.tables
