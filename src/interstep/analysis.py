@@ -4,7 +4,12 @@ Enumeration is a tree held in one list, both frontier and result: from each
 non-final attainable history, every nonempty sub-map of the pending queries
 into the reply pool yields a child by appending one simultaneity class.
 Children are attainable by construction, and each has one parent, so none
-repeats.  Enumeration is the only way the commands explore a state's
+repeats.  Attainability reads only whether a history is final, so
+enumeration decides finality and nothing more: it builds no update set and
+records no success or fail verdict.  A report that needs a classification
+asks for it; `check_postulates` classifies every attainable history it
+reports on, so an update rule that fails when it fires is an error there.
+Enumeration is the only way the commands explore a state's
 histories.  The brute-force generator below (`all_bounded_histories`,
 `brute_force_coherent`) produces *all* phase-partitioned answer functions
 inside the bounds instead; no command calls it.  The tests use it as an
@@ -100,11 +105,12 @@ class EnumerationResult:
 def enumerate_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> EnumerationResult:
     """All attainable histories within the bounds, by breadth-first expansion."""
     pool = cfg.pool_for(x)
+    ev = spec.evaluator(x)
     # the loop walks the list it appends to: no child repeats (see the module notes)
     found = [EMPTY_HISTORY]
     truncated = False
     for xi in found:
-        if verdict(spec, x, xi).is_final:
+        if ev.is_final(xi):
             continue
         pend = sorted(pending(spec, x, xi), key=query_sort_key)
         if not pend:
@@ -230,18 +236,21 @@ def check_postulates(
     witness_section: list[str] = []
     truncated = False
 
-    attainable_by_state: dict[str, EnumerationResult] = {}
+    # each state's attainable histories in report order, sorted once for every section;
+    # the result set is dropped once it is sorted
+    ordered: dict[str, list[History]] = {}
     for sdef in spec.states:
         res = enumerate_attainable(spec, sdef.structure, cfg)
-        attainable_by_state[sdef.name] = res
         truncated = truncated or res.truncated
-
-    # each state's attainable histories in report order, sorted once for every section
-    ordered = {name: sorted(res.histories, key=history_sort_key) for name, res in attainable_by_state.items()}
+        ordered[sdef.name] = sorted(res.histories, key=history_sort_key)
+        del res
 
     for sdef in spec.states:
         x = sdef.structure
         for xi in ordered[sdef.name]:
+            # enumeration decides finality only: classifying every history builds its
+            # update set, so a rule error at a final history surfaces here
+            verdict(spec, x, xi)
             # step-a: in lax mode completion finality makes every complete history final
             if strict and not pending(spec, x, xi) and not explicitly_final(spec, x, xi):
                 step_a.append(f"state {sdef.name}: complete coherent {format_history(xi)} has no final prefix")

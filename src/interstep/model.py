@@ -22,6 +22,10 @@ tables of its own.  The description owns its evaluators
 (`AlgorithmSpec.evaluator`), so the tables are freed with the description;
 no memo lives at module level, and no lookup hashes a whole description.
 
+Enumeration asks only `is_final`: whether a final rule's guard holds or
+nothing is pending.  That question builds no update set, so it neither
+decides success or fail nor meets an update rule's error.
+
 Guards are compiled, each at its first use, into functions `f(ev, xi)` that
 the description keeps, keyed by the guard's identity, and shares between its
 states.  A compiled guard takes the evaluator as an argument and holds none,
@@ -476,8 +480,26 @@ class Evaluator:
     def pending(self, xi: History) -> frozenset[Query]:
         return self.issued(xi).difference(xi.answers)
 
-    def matched_final_rules(self, xi: History) -> tuple[FinalRule, ...]:
-        return tuple(r for r in self.final_rules if holds(self, xi, r.guard))
+    def explicitly_final(self, xi: History) -> bool:
+        """Whether some final rule's guard holds; the rules are read in order up to the first that does."""
+        # a plain loop, not any(<genexpr>): see `_compile`
+        for rule in self.final_rules:
+            if holds(self, xi, rule.guard):
+                return True
+        return False
+
+    def is_final(self, xi: History) -> bool:
+        """Whether the history is final, without classifying it: no update set is built.
+
+        A non-final history's verdict is recorded, since it needs nothing more.
+        """
+        out = self._verdicts.get(xi)
+        if out is not None:
+            return out.is_final
+        if self.explicitly_final(xi) or not self.pending(xi):
+            return True
+        self._verdicts[xi] = NOT_FINAL
+        return False
 
     def verdict(self, xi: History) -> Verdict:
         out = self._verdicts.get(xi)
@@ -486,11 +508,10 @@ class Evaluator:
         return out
 
     def _classify(self, xi: History) -> Verdict:
-        matched = self.matched_final_rules(xi)
-        if not matched and self.pending(xi):
+        if not self.is_final(xi):
             return NOT_FINAL
-        for rule in matched:
-            if rule.outcome == "fail":
+        for rule in self.final_rules:
+            if rule.outcome == "fail" and holds(self, xi, rule.guard):
                 return failed(f"rule {rule.name}")
         loc = detect_clash(self.update_set(xi))
         if loc is not None:
@@ -512,7 +533,13 @@ class Evaluator:
                             f"update rule {rule.name!r} fired but mentions an unanswered reply"
                         )
                     values.append(value)
-                found.add(Update(Location(rule.symbol, tuple(values[:-1])), values[-1]))
+                *args, value = values
+                if self.x.vocab.decl(rule.symbol).relational and value != self.x.true_el and value != self.x.false_el:
+                    raise InstantiationError(
+                        f"update rule {rule.name!r} fired but relational symbol {rule.symbol!r} takes the "
+                        f"non-Boolean value {value!r} at ({' '.join(args)})"
+                    )
+                found.add(Update(Location(rule.symbol, tuple(args)), value))
             out = self._updates[xi] = frozenset(found) if found else _NOTHING
         return out
 
@@ -702,12 +729,9 @@ def is_complete(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
     return not pending(spec, x, xi)
 
 
-def matched_final_rules(spec: AlgorithmSpec, x: Structure, xi: History) -> tuple[FinalRule, ...]:
-    return spec.evaluator(x).matched_final_rules(xi)
-
-
 def explicitly_final(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
-    return bool(matched_final_rules(spec, x, xi))
+    """Some final rule's guard holds."""
+    return spec.evaluator(x).explicitly_final(xi)
 
 
 def verdict(spec: AlgorithmSpec, x: Structure, xi: History) -> Verdict:
@@ -724,7 +748,8 @@ def is_attainable(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
     """Coherent, and no proper initial segment is final."""
     if not is_coherent(spec, x, xi):
         return False
-    return all(not verdict(spec, x, eta).is_final for eta in initial_segments(xi)[:-1])
+    ev = spec.evaluator(x)
+    return not any(ev.is_final(eta) for eta in initial_segments(xi)[:-1])
 
 
 def update_set(spec: AlgorithmSpec, x: Structure, xi: History) -> frozenset[Update]:

@@ -22,8 +22,8 @@ from interstep.analysis import (
     weak_equivalent,
 )
 from interstep.dsl import DslError, parse_iso, parse_spec
-from interstep.history import EMPTY_HISTORY, initial_segments
-from interstep.model import Answered, And, IssueRule, Unanswered, is_attainable, verdict
+from interstep.history import EMPTY_HISTORY, history_sort_key, initial_segments
+from interstep.model import NOT_FINAL, Answered, And, IssueRule, Unanswered, is_attainable, verdict
 from oracle import (
     agreement_property,
     all_bounded_histories,
@@ -37,6 +37,7 @@ from oracle import (
 SMALL = EnumerationConfig(reply_pool=("yes", "no"), max_phases=3, max_domain=4)
 FULL = EnumerationConfig(reply_pool=BROKER_POOL, max_phases=3, max_domain=4)
 AGREEMENT = EnumerationConfig(reply_pool=("client0", "no", "t", "yes"), max_phases=3, max_domain=4)
+POOL4 = EnumerationConfig(reply_pool=("client0", "no", "t", "yes"))
 
 _specgen_module = importlib.util.spec_from_file_location("specgen", ROOT / "perfbench" / "specgen.py")
 specgen = importlib.util.module_from_spec(_specgen_module)
@@ -115,6 +116,30 @@ class TestEnumerate:
             calls = 0
             res = enumerate_attainable(spec, sdef.structure, EnumerationConfig(reply_pool=pool))
             assert calls == len(res.histories) - 1
+
+    @pytest.mark.parametrize("name", ["broker.isa", "broker_preferred.isa", "broker_sym.isa", "broker_3"])
+    def test_is_final_agrees_with_the_verdict(self, name):
+        """On a fresh evaluator and on one whose verdicts are all recorded."""
+        text = specgen.broker_text(3) if name == "broker_3" else (SPECS / name).read_text()
+        spec = parse_spec(text)
+        for sdef in spec.states:
+            x = sdef.structure
+            histories = sorted(enumerate_attainable(spec, x, POOL4).histories, key=history_sort_key)
+            fresh, filled = parse_spec(text).evaluator(x), parse_spec(text).evaluator(x)
+            finality = [fresh.is_final(xi) for xi in histories]
+            assert finality == [filled.verdict(xi).is_final for xi in histories]
+            assert finality == [filled.is_final(xi) for xi in histories]
+            assert True in finality and False in finality
+
+    def test_enumeration_classifies_nothing(self):
+        """Enumeration records only non-final verdicts and builds no update set."""
+        spec = parse_spec(specgen.broker_text(3))
+        x = spec.states[0].structure
+        res = enumerate_attainable(spec, x, POOL4)
+        ev = spec.evaluator(x)
+        assert ev._updates == {}
+        assert 0 < len(ev._verdicts) < len(res.histories)
+        assert all(v is NOT_FINAL for v in ev._verdicts.values())
 
     def test_result_memory_per_history_is_bounded(self):
         """The live bytes of a result, with the spec and its memo tables freed, stay under 880 per history."""

@@ -117,19 +117,64 @@ def test_state_that_breaks_a_logic_convention_exits_4_at_the_state(tmp_path, cap
     assert err.startswith("error: 18:1: state 'X0': eq at (yes no) is 'true', but the convention gives 'false'"), err
 
 
-@pytest.mark.parametrize("command", [["step"], ["run", "--steps", "2"]])
-def test_update_to_a_non_boolean_relational_value_exits_4(tmp_path, capsys, command):
+# broker.isa with an update rule that reads the reply to (choose) when only (timeout) may be answered
+EARLY = (("update sell0:", "update early: when answered(timeout) owner() := reply(choose)\nupdate sell0:"),)
+# broker.isa with an update rule that gives a relational symbol a non-Boolean value
+SOLD = (
+    ("  dynamic owner/0\n", "  dynamic owner/0\n  dynamic relational sold/0\n"),
+    ("update sell0:", "update mark: when reply(offer0) = yes() sold() := client0()\nupdate sell0:"),
+)
+
+
+def write_broker_with(tmp_path, edits) -> str:
     text = (SPECS / "broker.isa").read_text()
-    for old, new in (
-        ("  dynamic owner/0\n", "  dynamic owner/0\n  dynamic relational sold/0\n"),
-        ("update sell0:", "update mark: when reply(offer0) = yes() sold() := client0()\nupdate sell0:"),
-    ):
+    for old, new in edits:
+        assert text.count(old) == 1
         text = text.replace(old, new)
-    path = tmp_path / "sold.isa"
+    path = tmp_path / "edited.isa"
     path.write_text(text)
-    assert run_cli("validate", str(path))[0] == 0
-    assert run_cli(command[0], str(path), "--script", str(SCRIPTS / "yes0.env"), *command[1:]) == (4, "")
-    assert "relational symbol 'sold' takes the non-Boolean value 'client0'" in capsys.readouterr().err
+    return str(path)
+
+
+def run_on(path: str, command: list[str]) -> tuple[int, str]:
+    """Run a command on a spec; a `SPEC` argument stands for the spec again."""
+    return run_cli(command[0], path, *(path if a == "SPEC" else a for a in command[1:]))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["step", "--script", str(SCRIPTS / "yes0.env")],
+        ["run", "--script", str(SCRIPTS / "yes0.env"), "--steps", "2"],
+        ["check", *SMALL],  # was exit 0, result=conforming
+        ["equiv", "SPEC", *SMALL],  # was exit 0
+    ],
+)
+def test_update_to_a_non_boolean_relational_value_exits_4(tmp_path, capsys, command):
+    path = write_broker_with(tmp_path, SOLD)
+    assert run_cli("validate", path)[0] == 0
+    assert run_on(path, command) == (4, "")
+    err = capsys.readouterr().err
+    assert "update rule 'mark'" in err and "relational symbol 'sold' takes the non-Boolean value 'client0'" in err, err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["check", *SMALL], ["equiv", "SPEC", *SMALL], ["step", "--script", str(SCRIPTS / "timeout.env")]],
+    ids=["check", "equiv", "step"],
+)
+def test_update_rule_reading_an_unanswered_reply_exits_4(tmp_path, capsys, command):
+    assert run_on(write_broker_with(tmp_path, EARLY), command) == (4, "")
+    assert "update rule 'early' fired but mentions an unanswered reply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edits", [EARLY, SOLD], ids=["early", "sold"])
+def test_enumerate_builds_no_update_set(tmp_path, edits):
+    """Attainability reads finality only, so a faulty update rule does not stop `enumerate`."""
+    code, out = run_cli("enumerate", write_broker_with(tmp_path, edits), *SMALL, "--format", "machine")
+    assert code == 0
+    assert out == run_cli("enumerate", BROKER, *SMALL, "--format", "machine")[1]
+    assert "history={ (offer0) -> yes @0 }" in out.splitlines()
 
 
 @pytest.mark.parametrize(
