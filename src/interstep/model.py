@@ -24,7 +24,10 @@ no memo lives at module level, and no lookup hashes a whole description.
 
 Enumeration asks only `is_final`: whether a final rule's guard holds or
 nothing is pending.  That question builds no update set, so it neither
-decides success or fail nor meets an update rule's error.
+decides success or fail nor meets an update rule's error.  It records its
+answer for every history, a final one as `UNCLASSIFIED`, so the verdict
+table holds each history enumeration makes, in the order it was made:
+freed with the description, they go oldest first (see `cli._cmd_enumerate`).
 
 Guards are compiled, each at its first use, into functions `f(ev, xi)` that
 the description keeps, keyed by the guard's identity, and shares between its
@@ -301,7 +304,7 @@ class AlgorithmSpec:
 class Verdict:
     """NotFinal, or a final success/fail classification (mutually exclusive)."""
 
-    kind: str  # "not-final" | "success" | "fail"
+    kind: str  # "not-final" | "success" | "fail"; "final" only in UNCLASSIFIED
     reason: str | None = None
 
     @property
@@ -319,6 +322,9 @@ class Verdict:
 
 NOT_FINAL = Verdict("not-final")
 SUCCESS = Verdict("success")
+# Final, success or fail not yet decided: the verdict table's record of a final
+# history that only `is_final` was asked about.  `verdict` never returns it.
+UNCLASSIFIED = Verdict("final")
 
 
 def failed(reason: str) -> Verdict:
@@ -491,19 +497,17 @@ class Evaluator:
     def is_final(self, xi: History) -> bool:
         """Whether the history is final, without classifying it: no update set is built.
 
-        A non-final history's verdict is recorded, since it needs nothing more.
+        The answer is recorded either way, a final history as `UNCLASSIFIED`.
         """
         out = self._verdicts.get(xi)
-        if out is not None:
-            return out.is_final
-        if self.explicitly_final(xi) or not self.pending(xi):
-            return True
-        self._verdicts[xi] = NOT_FINAL
-        return False
+        if out is None:
+            final = self.explicitly_final(xi) or not self.pending(xi)
+            out = self._verdicts[xi] = UNCLASSIFIED if final else NOT_FINAL
+        return out.is_final
 
     def verdict(self, xi: History) -> Verdict:
         out = self._verdicts.get(xi)
-        if out is None:
+        if out is None or out is UNCLASSIFIED:
             out = self._verdicts[xi] = self._classify(xi)
         return out
 

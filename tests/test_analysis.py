@@ -23,7 +23,7 @@ from interstep.analysis import (
 )
 from interstep.dsl import DslError, parse_iso, parse_spec
 from interstep.history import EMPTY_HISTORY, history_sort_key, initial_segments
-from interstep.model import NOT_FINAL, Answered, And, IssueRule, Unanswered, is_attainable, verdict
+from interstep.model import NOT_FINAL, UNCLASSIFIED, Answered, And, IssueRule, Unanswered, is_attainable, verdict
 from oracle import (
     agreement_property,
     all_bounded_histories,
@@ -132,14 +132,21 @@ class TestEnumerate:
             assert True in finality and False in finality
 
     def test_enumeration_classifies_nothing(self):
-        """Enumeration records only non-final verdicts and builds no update set."""
+        """Enumeration records each history's finality, in the order made, classifies none and builds no update set.
+
+        Freed with the spec, the histories then go oldest first: `enumerate` relies on it.
+        """
         spec = parse_spec(specgen.broker_text(3))
         x = spec.states[0].structure
         res = enumerate_attainable(spec, x, POOL4)
         ev = spec.evaluator(x)
         assert ev._updates == {}
-        assert 0 < len(ev._verdicts) < len(res.histories)
-        assert all(v is NOT_FINAL for v in ev._verdicts.values())
+        assert set(ev._verdicts.values()) == {NOT_FINAL, UNCLASSIFIED}
+        made = {xi: i for i, xi in enumerate(ev._verdicts)}
+        assert made.keys() == res.histories
+        # each history after the one it extends
+        assert all(made[initial_segments(xi)[-2]] < i for xi, i in made.items() if xi.length)
+        assert all(ev.verdict(xi) is not UNCLASSIFIED for xi in res.histories)
 
     def test_result_memory_per_history_is_bounded(self):
         """The live bytes of a result, with the spec and its memo tables freed, stay under 880 per history."""
