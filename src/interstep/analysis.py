@@ -9,8 +9,8 @@ enumeration decides finality and nothing more: it builds no update set and
 records no success or fail verdict.  A report that needs a classification
 asks for it; `check_postulates` classifies every attainable history it
 reports on, so an update rule that fails when it fires is an error there.
-Enumeration is the only way the commands explore a state's
-histories.  The brute-force generator below (`all_bounded_histories`,
+Enumeration, and its two-tree form in the equivalence walk, are how the
+commands explore a state's histories.  The brute-force generator below (`all_bounded_histories`,
 `brute_force_coherent`) produces *all* phase-partitioned answer functions
 inside the bounds instead; no command calls it.  The tests use it as an
 oracle, and it stays in the package because `perfbench/tracing.py` traces it
@@ -25,11 +25,23 @@ prefixes are non-final it can only be final itself.  In lax mode completion
 finality makes it final, so step-a always holds; strict mode asks for a
 final rule that fires on it.
 
-Equivalence of two machine descriptions is decided clause by clause: same
-vocabulary/states/initial/labels, same attainable sets, same issued sets,
-same final classifications, same update sets on successful finals.  The weak
-variant only compares behavior on histories attainable for both; the two
-verdicts provably coincide.
+Equivalence asks two machine descriptions A and B to agree on vocabulary,
+states, initial states and labels (clause 1) and attainable sets (2), and on
+the histories attainable in both, on issued sets (3), final classifications
+(4) and the update sets of successful finals (5).  Each shared state is
+decided on one breadth-first walk of the union of the two attainable trees,
+on-the-fly checking on the product of the two systems (Fernandez and Mounier,
+CAV 1991).  A node is marked with the descriptions it is attainable in and
+expands over the union of A's pending queries, none unless it is in A and not
+final there, and B's.  The child that answers a set S is in A exactly when its
+parent is in A, is not final in A, and S lies within A's pending queries;
+likewise for B.  Each node is built once, for both evaluators.  Truncation is
+per description: A's tree is cut when A has pending queries at the phase
+bound, or more of them than the room left; a wider union cuts nothing.
+Clause 2 counts the nodes in exactly one description; clauses 3-5 read only
+those in both, each naming its least bad node by sort key.  The weak variant
+walks the same nodes, so its truncation flag covers them all, and leaves
+clause 2 out; the two verdicts provably coincide.
 """
 
 from __future__ import annotations
@@ -61,7 +73,6 @@ from .model import (
     explicitly_final,
     history_valid_for,
     is_coherent,
-    issued,
     pending,
     update_set,
     verdict,
@@ -378,47 +389,65 @@ def _compare(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: EnumerationConfi
         x = sdef.structure
         if x not in structs_b:
             continue
-        res_a = enumerate_attainable(spec_a, x, cfg)
-        res_b = enumerate_attainable(spec_b, x, cfg)
-        truncated = truncated or res_a.truncated or res_b.truncated
+        pool = cfg.pool_for(x)
+        ev_a, ev_b = spec_a.evaluator(x), spec_b.evaluator(x)
+        # the union of the two trees in one list, each node marked with the specs it is attainable in
+        nodes = [(EMPTY_HISTORY, True, True)]
+        # the nodes in exactly one spec, then the bad nodes of clauses 3-5 and the successful finals
+        only, bad3, bad4, bad5, succ = [], [], [], [], 0
+        for xi, in_a, in_b in nodes:
+            pend_a = ev_a.pending(xi) if in_a and not ev_a.is_final(xi) else frozenset()
+            pend_b = ev_b.pending(xi) if in_b and not ev_b.is_final(xi) else frozenset()
+            if in_a and in_b:
+                if ev_a.issued(xi) != ev_b.issued(xi):
+                    bad3.append(xi)
+                va, vb = ev_a.verdict(xi), ev_b.verdict(xi)
+                if va.kind != vb.kind:
+                    bad4.append(xi)
+                if va.is_success and vb.is_success:
+                    succ += 1
+                    if ev_a.update_set(xi) != ev_b.update_set(xi):
+                        bad5.append(xi)
+            else:
+                only.append(xi)
+            if not (pend_a or pend_b):
+                continue
+            if xi.length >= cfg.max_phases:
+                truncated = True
+                continue
+            # truncation is per spec: a union wider than the room cuts neither tree
+            room = cfg.max_domain - len(xi.entries)
+            truncated = truncated or len(pend_a) > room or len(pend_b) > room
+            pend = sorted(pend_a | pend_b, key=query_sort_key)
+            for size in range(1, min(len(pend), room) + 1):
+                for subset in combinations(pend, size):
+                    child_a, child_b = pend_a.issuperset(subset), pend_b.issuperset(subset)
+                    if child_a or child_b:
+                        for values in product(pool, repeat=size):
+                            nodes.append((append_class(xi, dict(zip(subset, values))), child_a, child_b))
         if not weak:
-            same = res_a.histories == res_b.histories
-            detail = (
-                f"{len(res_a.histories)} attainable histories agree"
-                if same
-                else f"{len(res_a.histories ^ res_b.histories)} histories attainable in exactly one"
-            )
-            clauses.append(ClauseOutcome(2, sdef.name, same, detail))
-            if not same:
-                w = min(res_a.histories ^ res_b.histories, key=history_sort_key)
-                divergences.append(Divergence(sdef.name, w, 2, "attainable in exactly one description"))
-        common = sorted(res_a.histories & res_b.histories, key=history_sort_key)
-        bad3 = [xi for xi in common if issued(spec_a, x, xi) != issued(spec_b, x, xi)]
+            detail = f"{len(only)} histories attainable in exactly one" if only else f"{len(nodes)} attainable histories agree"
+            clauses.append(ClauseOutcome(2, sdef.name, not only, detail))
+            if only:
+                divergences.append(Divergence(sdef.name, min(only, key=history_sort_key), 2, "attainable in exactly one description"))
         clauses.append(
-            ClauseOutcome(3, sdef.name, not bad3, f"issued sets agree on {len(common)} histories" if not bad3 else f"issued sets differ on {len(bad3)} histories")
+            ClauseOutcome(3, sdef.name, not bad3, f"issued sets agree on {len(nodes) - len(only)} histories" if not bad3 else f"issued sets differ on {len(bad3)} histories")
         )
         if bad3:
-            w = bad3[0]
-            sa = issued(spec_a, x, w)
-            sb = issued(spec_b, x, w)
-            diff = " ".join(format_query(q) for q in sorted(sa ^ sb, key=query_sort_key))
+            w = min(bad3, key=history_sort_key)
+            diff = " ".join(format_query(q) for q in sorted(ev_a.issued(w) ^ ev_b.issued(w), key=query_sort_key))
             divergences.append(Divergence(sdef.name, w, 3, f"issued sets differ by {diff}"))
-        bad4 = [xi for xi in common if verdict(spec_a, x, xi).kind != verdict(spec_b, x, xi).kind]
         clauses.append(
             ClauseOutcome(4, sdef.name, not bad4, "final classifications agree" if not bad4 else f"final classifications differ on {len(bad4)} histories")
         )
         if bad4:
-            w = bad4[0]
-            divergences.append(
-                Divergence(sdef.name, w, 4, f"{verdict(spec_a, x, w).kind} vs {verdict(spec_b, x, w).kind}")
-            )
-        succ = [xi for xi in common if verdict(spec_a, x, xi).is_success and verdict(spec_b, x, xi).is_success]
-        bad5 = [xi for xi in succ if update_set(spec_a, x, xi) != update_set(spec_b, x, xi)]
+            w = min(bad4, key=history_sort_key)
+            divergences.append(Divergence(sdef.name, w, 4, f"{ev_a.verdict(w).kind} vs {ev_b.verdict(w).kind}"))
         clauses.append(
-            ClauseOutcome(5, sdef.name, not bad5, f"update sets agree on {len(succ)} successful finals" if not bad5 else f"update sets differ on {len(bad5)} histories")
+            ClauseOutcome(5, sdef.name, not bad5, f"update sets agree on {succ} successful finals" if not bad5 else f"update sets differ on {len(bad5)} histories")
         )
         if bad5:
-            divergences.append(Divergence(sdef.name, bad5[0], 5, "update sets differ"))
+            divergences.append(Divergence(sdef.name, min(bad5, key=history_sort_key), 5, "update sets differ"))
 
     ok = all(c.passed for c in clauses)
     div = min(divergences, key=_divergence_key) if divergences else None

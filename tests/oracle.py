@@ -8,6 +8,13 @@ for a final segment.  They are exponential and exist to cross-check
 `enumerate_attainable` and `check_postulates`.  The generators themselves are
 re-exported, so that the tests take every brute-force name from this module.
 
+`reference_compare` is the equivalence check that the single walk of
+`interstep.analysis._compare` replaced, kept unchanged: it enumerates each
+description's attainable tree on its own, takes the symmetric difference and
+the intersection of the two sets, and sorts the intersection to find each
+clause's first bad history.  The walk's reports must equal its reports, full
+and weak.
+
 `reference_causes`, `reference_issued`, `reference_verdict` and
 `reference_update_set` are the paper's definitions read off the rules
 directly, with no memo: every template is instantiated again at each use,
@@ -44,9 +51,14 @@ from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from interstep.analysis import (
+    ClauseOutcome,
+    Divergence,
     EnumerationConfig,
+    EquivalenceReport,
+    _divergence_key,
     all_bounded_histories,
     brute_force_coherent,
+    enumerate_attainable,
     equivalent,
     query_universe,
     weak_equivalent,
@@ -91,7 +103,9 @@ from interstep.model import (
     explicitly_final,
     failed,
     is_coherent,
+    issued,
     pending,
+    update_set,
     verdict,
 )
 from interstep.spans import Span
@@ -147,6 +161,7 @@ __all__ = [
     "location_value",
     "query_universe",
     "reference_causes",
+    "reference_compare",
     "reference_issued",
     "reference_parse_spec",
     "reference_tokenize",
@@ -190,6 +205,80 @@ def brute_force_step_a(spec: AlgorithmSpec, cfg: EnumerationConfig, strict: bool
 def agreement_property(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: EnumerationConfig) -> bool:
     """The full and weak checkers must return the same verdict."""
     return equivalent(spec_a, spec_b, cfg).equivalent == weak_equivalent(spec_a, spec_b, cfg).equivalent
+
+
+def reference_compare(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: EnumerationConfig, weak: bool) -> EquivalenceReport:
+    clauses: list[ClauseOutcome] = []
+    divergences: list[Divergence] = []
+
+    problems: list[str] = []
+    if spec_a.vocab != spec_b.vocab:
+        problems.append("vocabularies differ")
+    if spec_a.labels != spec_b.labels:
+        problems.append("labels differ")
+    structs_a = frozenset(s.structure for s in spec_a.states)
+    structs_b = frozenset(s.structure for s in spec_b.states)
+    if structs_a != structs_b:
+        problems.append("state sets differ")
+    init_a = frozenset(spec_a.state(n) for n in spec_a.initial)
+    init_b = frozenset(spec_b.state(n) for n in spec_b.initial)
+    if init_a != init_b:
+        problems.append("initial state sets differ")
+    clause1 = not problems
+    clauses.append(ClauseOutcome(1, None, clause1, "; ".join(problems) if problems else "states, initial states, and labels agree"))
+    if not clause1:
+        divergences.append(Divergence(None, None, 1, "; ".join(problems)))
+
+    truncated = False
+    for sdef in sorted(spec_a.states, key=lambda s: s.name):
+        x = sdef.structure
+        if x not in structs_b:
+            continue
+        res_a = enumerate_attainable(spec_a, x, cfg)
+        res_b = enumerate_attainable(spec_b, x, cfg)
+        truncated = truncated or res_a.truncated or res_b.truncated
+        if not weak:
+            same = res_a.histories == res_b.histories
+            detail = (
+                f"{len(res_a.histories)} attainable histories agree"
+                if same
+                else f"{len(res_a.histories ^ res_b.histories)} histories attainable in exactly one"
+            )
+            clauses.append(ClauseOutcome(2, sdef.name, same, detail))
+            if not same:
+                w = min(res_a.histories ^ res_b.histories, key=history_sort_key)
+                divergences.append(Divergence(sdef.name, w, 2, "attainable in exactly one description"))
+        common = sorted(res_a.histories & res_b.histories, key=history_sort_key)
+        bad3 = [xi for xi in common if issued(spec_a, x, xi) != issued(spec_b, x, xi)]
+        clauses.append(
+            ClauseOutcome(3, sdef.name, not bad3, f"issued sets agree on {len(common)} histories" if not bad3 else f"issued sets differ on {len(bad3)} histories")
+        )
+        if bad3:
+            w = bad3[0]
+            sa = issued(spec_a, x, w)
+            sb = issued(spec_b, x, w)
+            diff = " ".join(format_query(q) for q in sorted(sa ^ sb, key=query_sort_key))
+            divergences.append(Divergence(sdef.name, w, 3, f"issued sets differ by {diff}"))
+        bad4 = [xi for xi in common if verdict(spec_a, x, xi).kind != verdict(spec_b, x, xi).kind]
+        clauses.append(
+            ClauseOutcome(4, sdef.name, not bad4, "final classifications agree" if not bad4 else f"final classifications differ on {len(bad4)} histories")
+        )
+        if bad4:
+            w = bad4[0]
+            divergences.append(
+                Divergence(sdef.name, w, 4, f"{verdict(spec_a, x, w).kind} vs {verdict(spec_b, x, w).kind}")
+            )
+        succ = [xi for xi in common if verdict(spec_a, x, xi).is_success and verdict(spec_b, x, xi).is_success]
+        bad5 = [xi for xi in succ if update_set(spec_a, x, xi) != update_set(spec_b, x, xi)]
+        clauses.append(
+            ClauseOutcome(5, sdef.name, not bad5, f"update sets agree on {len(succ)} successful finals" if not bad5 else f"update sets differ on {len(bad5)} histories")
+        )
+        if bad5:
+            divergences.append(Divergence(sdef.name, bad5[0], 5, "update sets differ"))
+
+    ok = all(c.passed for c in clauses)
+    div = min(divergences, key=_divergence_key) if divergences else None
+    return EquivalenceReport(ok, "weak" if weak else "full", truncated, tuple(clauses), div)
 
 
 # --- The uncached semantics ---------------------------------------------------------

@@ -32,6 +32,7 @@ from oracle import (
     brute_force_step_a,
     is_initial_segment,
     query_universe,
+    reference_compare,
 )
 
 SMALL = EnumerationConfig(reply_pool=("yes", "no"), max_phases=3, max_domain=4)
@@ -269,6 +270,13 @@ BROKER_RULES = (
 )
 # neither fires on an attainable history: a lone yes() ends the step at once
 DEAD_RULES = ("sell0_first", "sell1_first")
+VARIANTS = ("preferred", "extra-symbol", *(f"without-{r}" for r in BROKER_RULES))
+# the default bounds and two that truncate
+DIFFERENTIAL = {
+    "default": POOL4,
+    "one-phase": dataclasses.replace(POOL4, max_phases=1),
+    "narrow": dataclasses.replace(POOL4, max_phases=3, max_domain=2),
+}
 
 
 def reorder_rules(spec):
@@ -278,6 +286,32 @@ def reorder_rules(spec):
         final_rules=tuple(reversed(spec.final_rules)),
         update_rules=tuple(reversed(spec.update_rules)),
     )
+
+
+def broker_variant(request, broker, other):
+    """One of `VARIANTS`: the preferred-client spec, an extra symbol, or the broker less one rule."""
+    if other == "preferred":
+        return request.getfixturevalue("broker_preferred")
+    if other == "extra-symbol":
+        return broker_with_extra_symbol()
+    return without_rule(broker, other.removeprefix("without-"))
+
+
+def broker_pair(request, broker, pair):
+    """A broker variant, broker_sym, or broker_N against a reordered copy or its preferred variant."""
+    if pair == "sym":
+        return broker, request.getfixturevalue("broker_sym")
+    if pair.startswith("broker_"):
+        n, other = pair.removeprefix("broker_").split("-")
+        spec = parse_spec(specgen.broker_text(int(n)))
+        return spec, reorder_rules(spec) if other == "reordered" else parse_spec(specgen.broker_text(int(n), preferred=True))
+    return broker, broker_variant(request, broker, pair)
+
+
+def issuing(broker, *names):
+    """The broker's vocabulary, labels and state with only the named issue rules: final when complete."""
+    rules = tuple(r for r in broker.issue_rules if r.name in names)
+    return dataclasses.replace(broker, issue_rules=rules, final_rules=(), update_rules=())
 
 
 class TestEquivalence:
@@ -301,14 +335,9 @@ class TestEquivalence:
         assert d.clause in (3, 4)
         assert d.history == h(("offer0", "yes", 0), ("offer1", "yes", 0))
 
-    @pytest.mark.parametrize("other", ["preferred", "extra-symbol", *(f"without-{r}" for r in BROKER_RULES)])
+    @pytest.mark.parametrize("other", VARIANTS)
     def test_weak_checker_agrees_on_variants(self, request, broker, other):
-        if other == "preferred":
-            spec = request.getfixturevalue("broker_preferred")
-        elif other == "extra-symbol":
-            spec = broker_with_extra_symbol()
-        else:
-            spec = without_rule(broker, other.removeprefix("without-"))
+        spec = broker_variant(request, broker, other)
         assert agreement_property(broker, spec, AGREEMENT)
         assert weak_equivalent(broker, spec, AGREEMENT).equivalent == (other.removeprefix("without-") in DEAD_RULES)
 
@@ -354,6 +383,50 @@ class TestEquivalence:
         mutant = dataclasses.replace(broker, update_rules=tuple(swapped))
         assert equivalent(broker, mutant, FULL).equivalent
         assert weak_equivalent(broker, mutant, FULL).equivalent
+
+    @pytest.mark.parametrize("bounds", DIFFERENTIAL)
+    @pytest.mark.parametrize(
+        "pair", [*VARIANTS, "sym", *(f"broker_{n}-{other}" for n in (2, 3) for other in ("reordered", "preferred"))]
+    )
+    def test_walk_agrees_with_the_reference(self, request, broker, pair, bounds):
+        """One walk of both trees reports what two enumerations and their set algebra report."""
+        spec_a, spec_b = broker_pair(request, broker, pair)
+        cfg = DIFFERENTIAL[bounds]
+        assert equivalent(spec_a, spec_b, cfg) == reference_compare(spec_a, spec_b, cfg, weak=False)
+        assert weak_equivalent(spec_a, spec_b, cfg) == reference_compare(spec_a, spec_b, cfg, weak=True)
+
+    @pytest.mark.parametrize(
+        "rules_a, rules_b, truncated",
+        [
+            (("ask0",), ("ask1",), False),  # one pending query each: the room of one holds both trees
+            (("ask0", "ask1"), ("ask0",), True),  # two pending queries cut the first tree
+            (("ask0",), ("ask0", "ask1"), True),
+        ],
+    )
+    def test_truncation_is_decided_per_spec(self, broker, rules_a, rules_b, truncated):
+        """A union of pending queries wider than the room cuts neither tree by itself."""
+        spec_a, spec_b = issuing(broker, *rules_a), issuing(broker, *rules_b)
+        cfg = EnumerationConfig(reply_pool=("no", "yes"), max_domain=1)
+        for weak, checker in ((False, equivalent), (True, weak_equivalent)):
+            report = checker(spec_a, spec_b, cfg)
+            assert report.truncated == truncated
+            assert report == reference_compare(spec_a, spec_b, cfg, weak)
+
+    def test_walk_is_a_tree(self, monkeypatch, broker, broker_preferred):
+        """One append per node of the union of the two trees but the empty history: a shared node is built once."""
+        ra = enumerate_attainable(broker, broker.state("X0"), FULL).histories
+        rb = enumerate_attainable(broker_preferred, broker_preferred.state("X0"), FULL).histories
+        calls = 0
+        append_class = analysis.append_class
+
+        def counting(xi, batch):
+            nonlocal calls
+            calls += 1
+            return append_class(xi, batch)
+
+        monkeypatch.setattr(analysis, "append_class", counting)
+        equivalent(broker, broker_preferred, FULL)
+        assert calls == len(ra | rb) - 1 < len(ra) + len(rb) - 2
 
     def test_report_formats(self, broker, broker_preferred):
         report = equivalent(broker, broker_preferred, FULL)

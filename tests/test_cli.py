@@ -126,19 +126,29 @@ SOLD = (
 )
 
 
-def write_broker_with(tmp_path, edits) -> str:
+def write_broker_with(tmp_path, edits, name: str = "edited.isa") -> str:
     text = (SPECS / "broker.isa").read_text()
     for old, new in edits:
         assert text.count(old) == 1
         text = text.replace(old, new)
-    path = tmp_path / "edited.isa"
+    path = tmp_path / name
     path.write_text(text)
     return str(path)
 
 
-def run_on(path: str, command: list[str]) -> tuple[int, str]:
-    """Run a command on a spec; a `SPEC` argument stands for the spec again."""
-    return run_cli(command[0], path, *(path if a == "SPEC" else a for a in command[1:]))
+def run_on(path: str, command: list[str], base: str = BROKER) -> tuple[int, str]:
+    """Run a command on a spec; a `SPEC` argument stands for the spec again.
+
+    A `BASE` argument stands for a spec with the same vocabulary that lacks the
+    edit; a command that names `BASE` places `SPEC` itself.
+    """
+    args = [{"SPEC": path, "BASE": base}.get(a, a) for a in command[1:]]
+    return run_cli(command[0], *(args if "BASE" in command else [path, *args]))
+
+
+# equiv against the spec itself, and against its base in both orders: the rule error sits at a
+# history attainable in both, whichever order the walk evaluates it in
+EQUIV = [["equiv", "SPEC", *SMALL], ["equiv", "SPEC", "BASE", *SMALL], ["equiv", "BASE", "SPEC", *SMALL]]
 
 
 @pytest.mark.parametrize(
@@ -147,21 +157,22 @@ def run_on(path: str, command: list[str]) -> tuple[int, str]:
         ["step", "--script", str(SCRIPTS / "yes0.env")],
         ["run", "--script", str(SCRIPTS / "yes0.env"), "--steps", "2"],
         ["check", *SMALL],  # was exit 0, result=conforming
-        ["equiv", "SPEC", *SMALL],  # was exit 0
+        *EQUIV,  # equiv against itself was exit 0
     ],
 )
 def test_update_to_a_non_boolean_relational_value_exits_4(tmp_path, capsys, command):
     path = write_broker_with(tmp_path, SOLD)
     assert run_cli("validate", path)[0] == 0
-    assert run_on(path, command) == (4, "")
+    # broker.isa with the relational symbol declared: without it no state is shared, and equiv fails clause 1
+    assert run_on(path, command, write_broker_with(tmp_path, SOLD[:1], "base.isa")) == (4, "")
     err = capsys.readouterr().err
     assert "update rule 'mark'" in err and "relational symbol 'sold' takes the non-Boolean value 'client0'" in err, err
 
 
 @pytest.mark.parametrize(
     "command",
-    [["check", *SMALL], ["equiv", "SPEC", *SMALL], ["step", "--script", str(SCRIPTS / "timeout.env")]],
-    ids=["check", "equiv", "step"],
+    [["check", *SMALL], *EQUIV, ["step", "--script", str(SCRIPTS / "timeout.env")]],
+    ids=["check", "equiv", "equiv-broker", "broker-equiv", "step"],
 )
 def test_update_rule_reading_an_unanswered_reply_exits_4(tmp_path, capsys, command):
     assert run_on(write_broker_with(tmp_path, EARLY), command) == (4, "")
