@@ -1,20 +1,27 @@
 """Exhaustive attainable-history enumeration, conformance reports, equivalence.
 
-Enumeration is a tree held in one list, both frontier and result: from each
-non-final attainable history, every nonempty sub-map of the pending queries
-into the reply pool yields a child by appending one simultaneity class.
-Children are attainable by construction, and each has one parent, so none
-repeats.  Attainability reads only whether a history is final, so
-enumeration decides finality and nothing more: it builds no update set and
-records no success or fail verdict.  A report that needs a classification
-asks for it; `check_postulates` classifies every attainable history it
-reports on, so an update rule that fails when it fires is an error there.
-Enumeration, and its two-tree form in the equivalence walk, are how the
-commands explore a state's histories.  The brute-force generator below (`all_bounded_histories`,
-`brute_force_coherent`) produces *all* phase-partitioned answer functions
-inside the bounds instead; no command calls it.  The tests use it as an
-oracle, and it stays in the package because `perfbench/tracing.py` traces it
-by name.
+The commands explore a state's histories on one walk (`_walk`): breadth first
+over the union of the attainable trees of one or more evaluators, in one list
+that is both frontier and result, each node marked with the evaluators it is
+attainable in.  An evaluator's pending queries count at a node that is in its
+tree and not final there; every nonempty sub-map of the union of those sets
+into the reply pool yields a child by appending one simultaneity class.  The
+child that answers a set S is in an evaluator's tree exactly when its parent
+is, the parent is not final there, and S lies within that evaluator's pending
+queries; a child in no tree is not built.  Each child has one parent, so none
+repeats and each node is built once, for every evaluator.  Truncation is per
+evaluator: its tree is cut when it has pending queries at the phase bound, or
+more of them than the room the domain bound leaves; a wider union cuts
+nothing.  `enumerate_attainable` walks one evaluator and `equiv` two.
+Attainability reads only whether a history is final, so the walk decides
+finality and nothing more: it builds no update set and records no success or
+fail verdict.  A report that needs a classification asks for it;
+`check_postulates` classifies every attainable history it reports on, so an
+update rule that fails when it fires is an error there.  The brute-force
+generator below (`all_bounded_histories`, `brute_force_coherent`) produces
+*all* phase-partitioned answer functions inside the bounds instead; no
+command calls it.  The tests use it as an oracle, and it stays in the package
+because `perfbench/tracing.py` traces it by name.
 
 Part a of the step postulate asks every complete coherent history to have a
 final initial segment.  The attainable set decides it: a coherent history
@@ -29,19 +36,12 @@ Equivalence asks two machine descriptions A and B to agree on vocabulary,
 states, initial states and labels (clause 1) and attainable sets (2), and on
 the histories attainable in both, on issued sets (3), final classifications
 (4) and the update sets of successful finals (5).  Each shared state is
-decided on one breadth-first walk of the union of the two attainable trees,
-on-the-fly checking on the product of the two systems (Fernandez and Mounier,
-CAV 1991).  A node is marked with the descriptions it is attainable in and
-expands over the union of A's pending queries, none unless it is in A and not
-final there, and B's.  The child that answers a set S is in A exactly when its
-parent is in A, is not final in A, and S lies within A's pending queries;
-likewise for B.  Each node is built once, for both evaluators.  Truncation is
-per description: A's tree is cut when A has pending queries at the phase
-bound, or more of them than the room left; a wider union cuts nothing.
-Clause 2 counts the nodes in exactly one description; clauses 3-5 read only
-those in both, each naming its least bad node by sort key.  The weak variant
-walks the same nodes, so its truncation flag covers them all, and leaves
-clause 2 out; the two verdicts provably coincide.
+decided on the walk of A's and B's evaluators there, on-the-fly checking on
+the product of the two systems (Fernandez and Mounier, CAV 1991).  After the
+walk, clause 2 counts the nodes in exactly one description, and clauses 3-5
+read only those in both, each naming its least bad node by sort key.  The
+weak variant walks the same nodes, so its truncation flag covers them all,
+and leaves clause 2 out; the two verdicts provably coincide.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from .history import (
 from .isomorphism import Isomorphism, apply_isomorphism, check_isomorphism
 from .model import (
     AlgorithmSpec,
+    Evaluator,
     causes,
     check_bounds,
     check_witness,
@@ -114,30 +115,36 @@ class EnumerationResult:
 
 
 def enumerate_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> EnumerationResult:
-    """All attainable histories within the bounds, by breadth-first expansion."""
-    pool = cfg.pool_for(x)
-    ev = spec.evaluator(x)
-    # the loop walks the list it appends to: no child repeats (see the module notes)
-    found = [EMPTY_HISTORY]
-    truncated = False
-    for xi in found:
-        if ev.is_final(xi):
-            continue
-        pend = sorted(pending(spec, x, xi), key=query_sort_key)
-        if not pend:
-            continue
-        if xi.length >= cfg.max_phases:
-            truncated = True
-            continue
-        room = cfg.max_domain - len(xi.entries)
-        for size in range(1, len(pend) + 1):
-            if size > room:
-                truncated = True
-                break
-            for subset in combinations(pend, size):
-                for values in product(pool, repeat=size):
-                    found.append(append_class(xi, dict(zip(subset, values))))
+    """All attainable histories within the bounds: the walk of one evaluator's tree."""
+    found, _, truncated = _walk((spec.evaluator(x),), cfg.pool_for(x), cfg)
     return EnumerationResult(frozenset(found), truncated)
+
+
+def _walk(evaluators: tuple[Evaluator, ...], pool: Sequence[str], cfg: EnumerationConfig) -> tuple[list[History], list[tuple[Evaluator, ...]], bool]:
+    """The union of the evaluators' attainable trees, breadth first (see the module notes): the nodes
+    in walk order, the evaluators each node is attainable in, and whether a bound cut some tree."""
+    # the loop walks the lists it appends to: no child repeats
+    found, marks = [EMPTY_HISTORY], [evaluators]
+    truncated = False
+    for xi, members in zip(found, marks):
+        # the pending queries of each evaluator the node is in and not final in (a loop: a comprehension is a call)
+        pends = []
+        for ev in members:
+            if not ev.is_final(xi):
+                pends.append((ev, ev.pending(xi)))
+        if not pends:
+            continue
+        # truncation is per evaluator, and there is no room at the phase bound: a wider union cuts no tree
+        room = cfg.max_domain - len(xi.entries) if xi.length < cfg.max_phases else 0
+        truncated = truncated or max(len(p) for _, p in pends) > room
+        pend = sorted(frozenset().union(*(p for _, p in pends)), key=query_sort_key)
+        for size in range(1, min(len(pend), room) + 1):
+            for subset in combinations(pend, size):
+                child = tuple(ev for ev, p in pends if p.issuperset(subset))
+                if child:
+                    found += [append_class(xi, dict(zip(subset, values))) for values in product(pool, repeat=size)]
+                    marks += [child] * len(pool) ** size
+    return found, marks, truncated
 
 
 # --- Brute-force generation (the tests' oracle; no command calls it) ---------------
@@ -389,42 +396,24 @@ def _compare(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: EnumerationConfi
         x = sdef.structure
         if x not in structs_b:
             continue
-        pool = cfg.pool_for(x)
         ev_a, ev_b = spec_a.evaluator(x), spec_b.evaluator(x)
-        # the union of the two trees in one list, each node marked with the specs it is attainable in
-        nodes = [(EMPTY_HISTORY, True, True)]
+        nodes, marks, cut = _walk((ev_a, ev_b), cfg.pool_for(x), cfg)
+        truncated = truncated or cut
         # the nodes in exactly one spec, then the bad nodes of clauses 3-5 and the successful finals
         only, bad3, bad4, bad5, succ = [], [], [], [], 0
-        for xi, in_a, in_b in nodes:
-            pend_a = ev_a.pending(xi) if in_a and not ev_a.is_final(xi) else frozenset()
-            pend_b = ev_b.pending(xi) if in_b and not ev_b.is_final(xi) else frozenset()
-            if in_a and in_b:
-                if ev_a.issued(xi) != ev_b.issued(xi):
-                    bad3.append(xi)
-                va, vb = ev_a.verdict(xi), ev_b.verdict(xi)
-                if va.kind != vb.kind:
-                    bad4.append(xi)
-                if va.is_success and vb.is_success:
-                    succ += 1
-                    if ev_a.update_set(xi) != ev_b.update_set(xi):
-                        bad5.append(xi)
-            else:
+        for xi, members in zip(nodes, marks):
+            if len(members) == 1:
                 only.append(xi)
-            if not (pend_a or pend_b):
                 continue
-            if xi.length >= cfg.max_phases:
-                truncated = True
-                continue
-            # truncation is per spec: a union wider than the room cuts neither tree
-            room = cfg.max_domain - len(xi.entries)
-            truncated = truncated or len(pend_a) > room or len(pend_b) > room
-            pend = sorted(pend_a | pend_b, key=query_sort_key)
-            for size in range(1, min(len(pend), room) + 1):
-                for subset in combinations(pend, size):
-                    child_a, child_b = pend_a.issuperset(subset), pend_b.issuperset(subset)
-                    if child_a or child_b:
-                        for values in product(pool, repeat=size):
-                            nodes.append((append_class(xi, dict(zip(subset, values))), child_a, child_b))
+            if ev_a.issued(xi) != ev_b.issued(xi):
+                bad3.append(xi)
+            va, vb = ev_a.verdict(xi), ev_b.verdict(xi)
+            if va.kind != vb.kind:
+                bad4.append(xi)
+            if va.is_success and vb.is_success:
+                succ += 1
+                if ev_a.update_set(xi) != ev_b.update_set(xi):
+                    bad5.append(xi)
         if not weak:
             detail = f"{len(only)} histories attainable in exactly one" if only else f"{len(nodes)} attainable histories agree"
             clauses.append(ClauseOutcome(2, sdef.name, not only, detail))

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import product
 from typing import Callable, Iterable
 
 from .errors import EngineError
@@ -59,6 +60,7 @@ from .history import (
     History,
     Label,
     Query,
+    format_history,
     format_query,
     initial_segments,
     prefix,
@@ -74,6 +76,7 @@ from .structure import (
     Update,
     Var,
     Vocabulary,
+    apply_updates,
     detect_clash,
     eval_term,
     format_location,
@@ -465,9 +468,7 @@ class Evaluator:
                 if holds(self, xi, rule.guard):
                     q = self.instantiate(xi, rule.template)
                     if q is None:
-                        raise InstantiationError(
-                            f"issue rule {rule.name!r} fired but its query mentions an unanswered reply"
-                        )
+                        raise _rule_error("issue", rule, xi, "its query mentions an unanswered reply")
                     found.add(q)
             out = self._causes[xi] = frozenset(found) if found else _NOTHING
         return out
@@ -533,19 +534,22 @@ class Evaluator:
                 for term in (*rule.args, rule.value):
                     value = self.value(xi, term)
                     if value is None:
-                        raise InstantiationError(
-                            f"update rule {rule.name!r} fired but mentions an unanswered reply"
-                        )
+                        raise _rule_error("update", rule, xi, "mentions an unanswered reply")
                     values.append(value)
                 *args, value = values
+                loc = Location(rule.symbol, tuple(args))
                 if self.x.vocab.decl(rule.symbol).relational and value != self.x.true_el and value != self.x.false_el:
-                    raise InstantiationError(
-                        f"update rule {rule.name!r} fired but relational symbol {rule.symbol!r} takes the "
-                        f"non-Boolean value {value!r} at ({' '.join(args)})"
-                    )
-                found.add(Update(Location(rule.symbol, tuple(args)), value))
+                    problem = f"relational symbol {rule.symbol!r} takes the non-Boolean value {value!r} in {format_location(loc)}"
+                    raise _rule_error("update", rule, xi, problem)
+                found.add(Update(loc, value))
             out = self._updates[xi] = frozenset(found) if found else _NOTHING
         return out
+
+
+def _rule_error(kind: str, rule: IssueRule | UpdateRule, xi: History, problem: str) -> InstantiationError:
+    """The error of a rule that fired: the rule's position first when it has one, the history last."""
+    where = f"{rule.span}: " if rule.span is not None else ""
+    return InstantiationError(f"{where}{kind} rule {rule.name!r} fired but {problem} at {format_history(xi)}")
 
 
 # --- Guard evaluation -------------------------------------------------------------
@@ -766,8 +770,6 @@ def next_state(spec: AlgorithmSpec, x: Structure, xi: History) -> Structure:
     v = verdict(spec, x, xi)
     if not v.is_success:
         raise NotSuccessful(f"next_state requires a successful verdict, got {v.kind}")
-    from .structure import apply_updates
-
     return apply_updates(x, update_set(spec, x, xi))
 
 
@@ -817,11 +819,9 @@ def history_valid_for(x: Structure, xi: History) -> bool:
 
 def _witness_agrees(spec: AlgorithmSpec, x: Structure, x2: Structure, xi: History) -> bool:
     rng = sorted({r for _, r, _ in xi.entries})
-    from itertools import product as _product
-
     for term in spec.witness_terms:
         names = sorted({v.name for v in term_variables(term)})
-        for combo in _product(rng, repeat=len(names)):
+        for combo in product(rng, repeat=len(names)):
             valuation = dict(zip(names, combo))
             if eval_term(x, term, valuation) != eval_term(x2, term, valuation):
                 return False

@@ -3,9 +3,11 @@
 `interstep.analysis.all_bounded_histories` produces *all* phase-partitioned
 answer functions over the query universe inside the bounds, and
 `brute_force_coherent` keeps the coherent ones.  The oracles here filter them
-further by the definitions: no proper final prefix, and the old step-a scan
-for a final segment.  They are exponential and exist to cross-check
-`enumerate_attainable` and `check_postulates`.  The generators themselves are
+further by the definitions: no proper final prefix, the old step-a scan for a
+final segment, and `brute_force_truncated`, which asks whether an attainable
+history has pending queries that a bound leaves no room for.  They are
+exponential and exist to cross-check `enumerate_attainable` (its histories
+and its truncation flag), the equivalence walk and `check_postulates`.  The generators themselves are
 re-exported, so that the tests take every brute-force name from this module.
 
 `reference_compare` is the equivalence check that the single walk of
@@ -146,6 +148,7 @@ __all__ = [
     "brute_force_attainable",
     "brute_force_coherent",
     "brute_force_step_a",
+    "brute_force_truncated",
     "common_prefix_comparable",
     "complete_history",
     "dense_apply_updates",
@@ -182,6 +185,22 @@ def brute_force_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationCo
         for xi in all_bounded_histories(spec, x, cfg)
         if is_coherent(spec, x, xi) and not _has_proper_final_prefix(spec, x, xi)
     )
+
+
+def brute_force_truncated(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> bool:
+    """Whether a bound cuts the attainable tree, by the definitions.
+
+    Some attainable history inside the bounds is not final and has pending
+    queries, and either it has `max_phases` classes or more queries are
+    pending than `max_domain` leaves room for beside its domain.
+    """
+    for xi in brute_force_attainable(spec, x, cfg):
+        if reference_verdict(spec, x, xi).is_final:
+            continue
+        pend = reference_issued(spec, x, xi) - xi.domain
+        if pend and (xi.length >= cfg.max_phases or len(pend) > cfg.max_domain - len(xi.domain)):
+            return True
+    return False
 
 
 def brute_force_step_a(spec: AlgorithmSpec, cfg: EnumerationConfig, strict: bool) -> list[str]:

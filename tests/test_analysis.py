@@ -30,6 +30,7 @@ from oracle import (
     brute_force_attainable,
     brute_force_coherent,
     brute_force_step_a,
+    brute_force_truncated,
     is_initial_segment,
     query_universe,
     reference_compare,
@@ -39,6 +40,12 @@ SMALL = EnumerationConfig(reply_pool=("yes", "no"), max_phases=3, max_domain=4)
 FULL = EnumerationConfig(reply_pool=BROKER_POOL, max_phases=3, max_domain=4)
 AGREEMENT = EnumerationConfig(reply_pool=("client0", "no", "t", "yes"), max_phases=3, max_domain=4)
 POOL4 = EnumerationConfig(reply_pool=("client0", "no", "t", "yes"))
+# a bound that cuts every shipped spec's tree
+CUT = EnumerationConfig(reply_pool=BROKER_POOL, max_phases=2, max_domain=2)
+# the phase bounds 1-3 against the domain bounds 1-4
+TRUNCATION = [EnumerationConfig(reply_pool=("no", "t", "yes"), max_phases=p, max_domain=d) for p in (1, 2, 3) for d in (1, 2, 3, 4)]
+# the fixture of each shipped spec
+SHIPPED = ("broker", "broker_preferred", "broker_sym")
 
 _specgen_module = importlib.util.spec_from_file_location("specgen", ROOT / "perfbench" / "specgen.py")
 specgen = importlib.util.module_from_spec(_specgen_module)
@@ -73,10 +80,26 @@ class TestEnumerate:
         # each initial query is unanswered or answered from the pool, not all unanswered
         assert sum(1 for xi in res.histories if xi.length == 1) == 3**3 - 1
 
-    def test_full_space_equals_brute_force(self, broker, broker_state):
-        res = enumerate_attainable(broker, broker_state, FULL)
-        assert not res.truncated
-        assert res.histories == brute_force_attainable(broker, broker_state, FULL)
+    @pytest.mark.parametrize("cfg", [FULL, CUT], ids=["full", "cut"])
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_full_space_equals_brute_force(self, request, name, cfg):
+        spec = request.getfixturevalue(name)
+        for sdef in spec.states:
+            res = enumerate_attainable(spec, sdef.structure, cfg)
+            assert res.truncated == (cfg is CUT)
+            assert res.histories == brute_force_attainable(spec, sdef.structure, cfg)
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_truncation_flag_equals_the_oracle(self, request, name):
+        """The flag is set exactly when an attainable history has pending queries that a bound leaves no room for."""
+        spec = request.getfixturevalue(name)
+        flags = set()
+        for sdef in spec.states:
+            for cfg in TRUNCATION:
+                flag = enumerate_attainable(spec, sdef.structure, cfg).truncated
+                assert flag == brute_force_truncated(spec, sdef.structure, cfg), (sdef.name, cfg)
+                flags.add(flag)
+        assert flags == {False, True}
 
     def test_all_enumerated_are_attainable(self, broker, broker_state):
         res = enumerate_attainable(broker, broker_state, SMALL)
@@ -411,6 +434,17 @@ class TestEquivalence:
             report = checker(spec_a, spec_b, cfg)
             assert report.truncated == truncated
             assert report == reference_compare(spec_a, spec_b, cfg, weak)
+
+    @pytest.mark.parametrize(
+        "pair", [("preferred", "without-tie"), ("without-ask0", "without-ask1"), ("without-ask1", "without-ask_clock")], ids="+".join
+    )
+    def test_truncation_flag_equals_the_oracle(self, request, broker, pair):
+        """Either checker's flag is the oracle's over both specs and every shared state: no union of the two cuts."""
+        spec_a, spec_b = (broker_variant(request, broker, v) for v in pair)
+        shared = [sdef.structure for sdef in spec_a.states if spec_b.has_state(sdef.structure)]
+        for cfg in TRUNCATION:
+            expected = any(brute_force_truncated(spec, x, cfg) for spec in (spec_a, spec_b) for x in shared)
+            assert equivalent(spec_a, spec_b, cfg).truncated == expected == weak_equivalent(spec_a, spec_b, cfg).truncated, cfg
 
     def test_walk_is_a_tree(self, monkeypatch, broker, broker_preferred):
         """One append per node of the union of the two trees but the empty history: a shared node is built once."""

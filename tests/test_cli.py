@@ -165,18 +165,52 @@ def test_update_to_a_non_boolean_relational_value_exits_4(tmp_path, capsys, comm
     assert run_cli("validate", path)[0] == 0
     # broker.isa with the relational symbol declared: without it no state is shared, and equiv fails clause 1
     assert run_on(path, command, write_broker_with(tmp_path, SOLD[:1], "base.isa")) == (4, "")
-    err = capsys.readouterr().err
-    assert "update rule 'mark'" in err and "relational symbol 'sold' takes the non-Boolean value 'client0'" in err, err
+    # the rule's position, then the history: every command meets the rule first at a lone yes to offer0
+    assert capsys.readouterr().err == (
+        "error: 45:1: update rule 'mark' fired but relational symbol 'sold' takes the non-Boolean value 'client0' "
+        "in sold() at { (offer0) -> yes @0 }\n"
+    )
 
 
 @pytest.mark.parametrize(
     "command",
-    [["check", *SMALL], *EQUIV, ["step", "--script", str(SCRIPTS / "timeout.env")]],
-    ids=["check", "equiv", "equiv-broker", "broker-equiv", "step"],
+    [
+        ["check", *SMALL],
+        *EQUIV,
+        ["step", "--script", str(SCRIPTS / "timeout.env")],
+        ["run", "--script", str(SCRIPTS / "timeout.env"), "--steps", "2"],
+    ],
+    ids=["check", "equiv", "equiv-broker", "broker-equiv", "step", "run"],
 )
 def test_update_rule_reading_an_unanswered_reply_exits_4(tmp_path, capsys, command):
     assert run_on(write_broker_with(tmp_path, EARLY), command) == (4, "")
-    assert "update rule 'early' fired but mentions an unanswered reply" in capsys.readouterr().err
+    # step and run end where the script answers the timeout with t; check and equiv meet the rule first at a no
+    reply = "t" if command[0] in ("step", "run") else "no"
+    assert capsys.readouterr().err == (
+        f"error: 44:1: update rule 'early' fired but mentions an unanswered reply at {{ (timeout) -> {reply} @0 }}\n"
+    )
+
+
+# broker.isa with an issue rule whose query reads the reply to (choose), which no history has at the start
+ASKING = (("issue ask_clock: when start emit (timeout)", "issue ask_clock: when start emit (timeout reply(choose))"),)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check", *SMALL],
+        ["enumerate", *SMALL],
+        ["equiv", "SPEC", *SMALL],
+        ["step", "--script", str(SCRIPTS / "yes0.env")],
+        ["run", "--script", str(SCRIPTS / "yes0.env"), "--steps", "2"],
+    ],
+    ids=["check", "enumerate", "equiv", "step", "run"],
+)
+def test_issue_rule_reading_an_unanswered_reply_exits_4(tmp_path, capsys, command):
+    assert run_on(write_broker_with(tmp_path, ASKING), command) == (4, "")
+    assert capsys.readouterr().err == (
+        "error: 35:1: issue rule 'ask_clock' fired but its query mentions an unanswered reply at { }\n"
+    )
 
 
 @pytest.mark.parametrize("edits", [EARLY, SOLD], ids=["early", "sold"])

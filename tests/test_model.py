@@ -65,7 +65,8 @@ class TestCauses:
             "bad", Start(), QueryTemplate(None, (Label("offer0"), ReplyVar("choose")))
         )
         bad = dataclasses.replace(broker, issue_rules=broker.issue_rules + (bad_rule,))
-        with pytest.raises(InstantiationError):
+        # a rule built without source text has no position to give
+        with pytest.raises(InstantiationError, match=r"^issue rule 'bad' fired but its query mentions an unanswered reply at \{ \}$"):
             causes(bad, broker_state, EMPTY_HISTORY)
 
 
@@ -202,7 +203,7 @@ class TestUpdateSet:
     def test_fired_rule_with_unanswered_reply_raises(self, broker, broker_state):
         bad_rule = UpdateRule("bad", Answered("offer0"), "owner", (), ReplyVar("choose"))
         bad = dataclasses.replace(broker, update_rules=(bad_rule,))
-        with pytest.raises(InstantiationError):
+        with pytest.raises(InstantiationError, match=r"^update rule 'bad' fired but mentions an unanswered reply at \{ \(offer0\) -> yes @0 \}$"):
             update_set(bad, broker_state, h(("offer0", "yes", 0)))
 
 
