@@ -2,10 +2,11 @@
 
 The commands explore a state's histories on one walk (`_walk`): breadth first
 over the union of the attainable trees of one or more evaluators, in one list
-that is both frontier and result, each node marked with the evaluators it is
-attainable in.  An evaluator's pending queries count at a node that is in its
-tree and not final there; every nonempty sub-map of the union of those sets
-into the reply pool yields a child by appending one simultaneity class.  The
+that is both frontier and result, each node marked, per evaluator, with the
+issued set of its parent there (None outside that evaluator's tree), a tuple
+that siblings share.  An evaluator's pending queries count at a node that is
+in its tree and not final there; every nonempty sub-map of the union of those
+sets into the reply pool yields a child by appending one phase class.  The
 child that answers a set S is in an evaluator's tree exactly when its parent
 is, the parent is not final there, and S lies within that evaluator's pending
 queries; a child in no tree is not built.  Each child has one parent, so none
@@ -120,28 +121,32 @@ def enumerate_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConf
     return EnumerationResult(frozenset(found), truncated)
 
 
-def _walk(evaluators: tuple[Evaluator, ...], pool: Sequence[str], cfg: EnumerationConfig) -> tuple[list[History], list[tuple[Evaluator, ...]], bool]:
-    """The union of the evaluators' attainable trees, breadth first (see the module notes): the nodes
-    in walk order, the evaluators each node is attainable in, and whether a bound cut some tree."""
-    # the loop walks the lists it appends to: no child repeats
-    found, marks = [EMPTY_HISTORY], [evaluators]
+def _walk(evaluators: tuple[Evaluator, ...], pool: Sequence[str], cfg: EnumerationConfig) -> tuple[list[History], list[tuple], bool]:
+    """The union of the evaluators' attainable trees, breadth first (see the module notes): the nodes in walk order,
+    their marks (by evaluator, the parent's issued set, or None off its tree), and whether a bound cut some tree."""
+    # the loop walks the lists it appends to: no child repeats; the root's parent issues nothing
+    found, marks = [EMPTY_HISTORY], [(frozenset(),) * len(evaluators)]
     truncated = False
-    for xi, members in zip(found, marks):
-        # the pending queries of each evaluator the node is in and not final in (a loop: a comprehension is a call)
-        pends = []
-        for ev in members:
-            if not ev.is_final(xi):
-                pends.append((ev, ev.pending(xi)))
+    for xi, befores in zip(found, marks):
+        # by evaluator, the node's issued and pending sets where it is open, else None (a loop: a comprehension is a call)
+        opens = []
+        for ev, before in zip(evaluators, befores):
+            if before is None or ev.is_final(xi, before):
+                opens.append(None)
+            else:
+                issued = ev.issued(xi)
+                opens.append((issued, issued.difference(xi.answers)))
+        pends = [p for _, p in filter(None, opens)]
         if not pends:
             continue
         # truncation is per evaluator, and there is no room at the phase bound: a wider union cuts no tree
         room = cfg.max_domain - len(xi.entries) if xi.length < cfg.max_phases else 0
-        truncated = truncated or max(len(p) for _, p in pends) > room
-        pend = sorted(frozenset().union(*(p for _, p in pends)), key=query_sort_key)
+        truncated = truncated or max(map(len, pends)) > room
+        pend = sorted(frozenset().union(*pends), key=query_sort_key)
         for size in range(1, min(len(pend), room) + 1):
             for subset in combinations(pend, size):
-                child = tuple(ev for ev, p in pends if p.issuperset(subset))
-                if child:
+                child = tuple([o[0] if o and o[1].issuperset(subset) else None for o in opens])
+                if any(child):  # the issued set of an open node is not empty
                     found += [append_class(xi, dict(zip(subset, values))) for values in product(pool, repeat=size)]
                     marks += [child] * len(pool) ** size
     return found, marks, truncated
@@ -401,18 +406,19 @@ def _compare(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: EnumerationConfi
         truncated = truncated or cut
         # the nodes in exactly one spec, then the bad nodes of clauses 3-5 and the successful finals
         only, bad3, bad4, bad5, succ = [], [], [], [], 0
-        for xi, members in zip(nodes, marks):
-            if len(members) == 1:
+        for xi, (before_a, before_b) in zip(nodes, marks):
+            if before_a is None or before_b is None:
                 only.append(xi)
                 continue
-            if ev_a.issued(xi) != ev_b.issued(xi):
-                bad3.append(xi)
+            issued_a, issued_b = ev_a.issued(xi, before_a), ev_b.issued(xi, before_b)
+            if issued_a != issued_b:
+                bad3.append((xi, issued_a ^ issued_b))
             va, vb = ev_a.verdict(xi), ev_b.verdict(xi)
             if va.kind != vb.kind:
                 bad4.append(xi)
             if va.is_success and vb.is_success:
                 succ += 1
-                if ev_a.update_set(xi) != ev_b.update_set(xi):
+                if va.updates != vb.updates:
                     bad5.append(xi)
         if not weak:
             detail = f"{len(only)} histories attainable in exactly one" if only else f"{len(nodes)} attainable histories agree"
@@ -423,8 +429,8 @@ def _compare(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: EnumerationConfi
             ClauseOutcome(3, sdef.name, not bad3, f"issued sets agree on {len(nodes) - len(only)} histories" if not bad3 else f"issued sets differ on {len(bad3)} histories")
         )
         if bad3:
-            w = min(bad3, key=history_sort_key)
-            diff = " ".join(format_query(q) for q in sorted(ev_a.issued(w) ^ ev_b.issued(w), key=query_sort_key))
+            w, differ = min(bad3, key=lambda bad: history_sort_key(bad[0]))
+            diff = " ".join(format_query(q) for q in sorted(differ, key=query_sort_key))
             divergences.append(Divergence(sdef.name, w, 3, f"issued sets differ by {diff}"))
         clauses.append(
             ClauseOutcome(4, sdef.name, not bad4, "final classifications agree" if not bad4 else f"final classifications differ on {len(bad4)} histories")

@@ -103,6 +103,7 @@ from .structure import (
     Var,
     Vocabulary,
     canonical_interp_entries,
+    eval_term,
     format_symbol_decl,
     format_term,
     term_variables,
@@ -1068,6 +1069,14 @@ def validate_spec(spec: AlgorithmSpec, *, strict: bool = False) -> list[SpecDiag
             bad = _term_ok(spec.vocab, term)
             if bad:
                 err("term", f"rule {r.name!r}: {bad}", r.span)
+        # a closed value reads no reply: the rule gives it wherever it fires
+        if decl.relational and _term_ok(spec.vocab, r.value) is None and next(term_variables(r.value), None) is None:
+            for x, name in [(s.structure, s.name) for s in spec.states if s.structure.vocab == spec.vocab]:
+                value = eval_term(x, r.value)
+                if value not in (x.true_el, x.false_el):
+                    problem = f"gives relational symbol {r.symbol!r} the non-Boolean value {value!r} in state {name!r}"
+                    err("update-relational", f"rule {r.name!r} {problem}", r.span)
+                    break
     for w in spec.witness:
         bad = _term_ok(spec.vocab, w.term)
         if bad:

@@ -21,7 +21,6 @@ from .model import (
     AlgorithmSpec,
     issued,
     pending,
-    update_set,
     verdict as compute_verdict,
 )
 from .structure import Structure, Update, apply_updates, format_structure, format_update, update_sort_key
@@ -176,8 +175,7 @@ def _execute(spec: AlgorithmSpec, x: Structure, env: Environment, max_phases: in
         v = compute_verdict(spec, x, xi)
         if v.is_final:
             if v.is_success:
-                delta = update_set(spec, x, xi)
-                return trace(Outcome("success"), delta=delta, nxt=apply_updates(x, delta))
+                return trace(Outcome("success"), delta=v.updates, nxt=apply_updates(x, v.updates))
             return trace(Outcome("fail", v.reason))
         pend = pending(spec, x, xi)
         if xi.length >= max_phases:

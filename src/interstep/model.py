@@ -17,16 +17,16 @@ Every complete history counts as final even without a matching final rule
 histories whose finality is only implicit.
 
 An `Evaluator`, bound to one description and one state, computes causes,
-issued, the verdict and the update set, and memoizes each per history in
-tables of its own.  The description owns its evaluators
-(`AlgorithmSpec.evaluator`), so the tables are freed with the description;
-no memo lives at module level, and no lookup hashes a whole description.
+issued, the verdict and the update set.  Its one memo table holds an open
+history's issued set and a final history's verdict, which carries its update
+set once classified.  A history issues what its parent issued and what it
+causes: the walk (`analysis._walk`) hands the parent's set over, others read
+it through `prefix`.  The description owns its evaluators and their tables.
 
 Enumeration asks only `is_final`: whether a final rule's guard holds or
-nothing is pending.  That question builds no update set, so it neither
-decides success or fail nor meets an update rule's error.  It records its
-answer for every history, a final one as `UNCLASSIFIED`, so the verdict
-table holds each history enumeration makes, in the order it was made:
+nothing is pending.  That builds no update set, so it neither decides
+success or fail nor meets an update rule's error.  Recording a final history
+as `UNCLASSIFIED`, the table holds each history enumeration made, in order:
 freed with the description, they go oldest first (see `cli._cmd_enumerate`).
 
 Guards are compiled, each at its first use, into functions `f(ev, xi)` that
@@ -295,20 +295,17 @@ class AlgorithmSpec:
             ev = self._evaluators[x] = Evaluator(self, x)
         return ev
 
-    @property
-    def witness_terms(self) -> tuple[Term, ...]:
-        return tuple(w.term for w in self.witness)
-
 
 # --- Verdicts -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """NotFinal, or a final success/fail classification (mutually exclusive)."""
+    """NotFinal, or a final success/fail classification (mutually exclusive), with any update set it built."""
 
     kind: str  # "not-final" | "success" | "fail"; "final" only in UNCLASSIFIED
     reason: str | None = None
+    updates: frozenset[Update] | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_final(self) -> bool:
@@ -324,14 +321,9 @@ class Verdict:
 
 
 NOT_FINAL = Verdict("not-final")
-SUCCESS = Verdict("success")
-# Final, success or fail not yet decided: the verdict table's record of a final
-# history that only `is_final` was asked about.  `verdict` never returns it.
+# Final, success or fail not yet decided: the table's entry for a final history
+# that only `is_final` was asked about.  `verdict` never returns it.
 UNCLASSIFIED = Verdict("final")
-
-
-def failed(reason: str) -> Verdict:
-    return Verdict("fail", reason)
 
 
 # --- Evaluation at one state -------------------------------------------------------
@@ -363,13 +355,12 @@ class Evaluator:
     One table holds the instance of each named template that reads no reply;
     other named templates are resolved once per history, and an issue rule's
     own template whenever the rule fires.  Closed terms are evaluated once.
-    `issued` grows along the history, one phase class at a time.
+    `_memo` holds an open history's issued set and a final history's verdict.
     """
 
     __slots__ = (
         "_template_by_name", "issue_rules", "final_rules", "update_rules", "x", "_guards", "_nodes", "_reply_free",
-        "_fixed_by_name", "_constants", "_closed", "_instances", "_causes", "_issued", "_verdicts", "_updates",
-        "__weakref__",
+        "_fixed_by_name", "_constants", "_closed", "_instances", "_memo", "__weakref__",
     )
 
     def __init__(self, spec: AlgorithmSpec, x: Structure):
@@ -391,10 +382,7 @@ class Evaluator:
         # value, because a spec repeats closed terms such as `yes()` in many guards
         self._closed: dict[str, str] = {}
         self._instances: dict[tuple[History, str], Query | None] = {}
-        self._causes: dict[History, frozenset[Query]] = {}
-        self._issued: dict[History, frozenset[Query]] = {}
-        self._verdicts: dict[History, Verdict] = {}
-        self._updates: dict[History, frozenset[Update]] = {}
+        self._memo: dict[History, frozenset[Query] | Verdict] = {}
 
     # --- template instantiation
 
@@ -461,31 +449,25 @@ class Evaluator:
     # --- causality, verdicts, updates
 
     def causes(self, xi: History) -> frozenset[Query]:
-        out = self._causes.get(xi)
-        if out is None:
-            found: set[Query] = set()
-            for rule in self.issue_rules:
-                if holds(self, xi, rule.guard):
-                    q = self.instantiate(xi, rule.template)
-                    if q is None:
-                        raise _rule_error("issue", rule, xi, "its query mentions an unanswered reply")
-                    found.add(q)
-            out = self._causes[xi] = frozenset(found) if found else _NOTHING
-        return out
+        found: set[Query] = set()
+        for rule in self.issue_rules:
+            if holds(self, xi, rule.guard):
+                q = self.instantiate(xi, rule.template)
+                if q is None:
+                    raise _rule_error("issue", rule, xi, "its query mentions an unanswered reply")
+                found.add(q)
+        return frozenset(found) if found else _NOTHING
 
-    def issued(self, xi: History) -> frozenset[Query]:
-        out = self._issued.get(xi)
-        if out is None:
-            out = self.causes(xi)
-            if xi.entries:
-                before = self.issued(prefix(xi, xi.length - 1))
-                # most histories cause nothing new: share the prefix's set
-                out = before if out <= before else before | out
-            self._issued[xi] = out
-        return out
-
-    def pending(self, xi: History) -> frozenset[Query]:
-        return self.issued(xi).difference(xi.answers)
+    def issued(self, xi: History, before: frozenset[Query] | None = None) -> frozenset[Query]:
+        """The queries issued at xi; `before` is its parent's issued set, read through `prefix` when not given."""
+        out = self._memo.get(xi)
+        if isinstance(out, frozenset):
+            return out
+        out = self.causes(xi)
+        if before is None:
+            before = self.issued(prefix(xi, xi.length - 1)) if xi.entries else _NOTHING
+        # most histories cause nothing new: share the parent's set
+        return before if out <= before else before | out
 
     def explicitly_final(self, xi: History) -> bool:
         """Whether some final rule's guard holds; the rules are read in order up to the first that does."""
@@ -495,55 +477,59 @@ class Evaluator:
                 return True
         return False
 
-    def is_final(self, xi: History) -> bool:
+    def is_final(self, xi: History, before: frozenset[Query] | None = None) -> bool:
         """Whether the history is final, without classifying it: no update set is built.
 
-        The answer is recorded either way, a final history as `UNCLASSIFIED`.
+        The answer is recorded either way, a final history as `UNCLASSIFIED`; `before` is as for `issued`.
         """
-        out = self._verdicts.get(xi)
+        out = self._memo.get(xi)
         if out is None:
-            final = self.explicitly_final(xi) or not self.pending(xi)
-            out = self._verdicts[xi] = UNCLASSIFIED if final else NOT_FINAL
-        return out.is_final
+            out = UNCLASSIFIED if self.explicitly_final(xi) else self.issued(xi, before)
+            if out is not UNCLASSIFIED and not out.difference(xi.answers):
+                out = UNCLASSIFIED
+            self._memo[xi] = out
+        return isinstance(out, Verdict)
 
     def verdict(self, xi: History) -> Verdict:
-        out = self._verdicts.get(xi)
-        if out is None or out is UNCLASSIFIED:
-            out = self._verdicts[xi] = self._classify(xi)
+        if not self.is_final(xi):
+            return NOT_FINAL
+        out = self._memo[xi]
+        if out is UNCLASSIFIED:
+            out = self._memo[xi] = self._classify(xi)
         return out
 
     def _classify(self, xi: History) -> Verdict:
-        if not self.is_final(xi):
-            return NOT_FINAL
         for rule in self.final_rules:
             if rule.outcome == "fail" and holds(self, xi, rule.guard):
-                return failed(f"rule {rule.name}")
-        loc = detect_clash(self.update_set(xi))
+                return Verdict("fail", f"rule {rule.name}")
+        updates = self.update_set(xi)
+        loc = detect_clash(updates)
         if loc is not None:
-            return failed(f"clash at {format_location(loc)}")
-        return SUCCESS
+            return Verdict("fail", f"clash at {format_location(loc)}", updates)
+        return Verdict("success", None, updates)
 
     def update_set(self, xi: History) -> frozenset[Update]:
-        out = self._updates.get(xi)
-        if out is None:
-            found: set[Update] = set()
-            for rule in self.update_rules:
-                if not holds(self, xi, rule.guard):
-                    continue
-                values: list[str] = []
-                for term in (*rule.args, rule.value):
-                    value = self.value(xi, term)
-                    if value is None:
-                        raise _rule_error("update", rule, xi, "mentions an unanswered reply")
-                    values.append(value)
-                *args, value = values
-                loc = Location(rule.symbol, tuple(args))
-                if self.x.vocab.decl(rule.symbol).relational and value != self.x.true_el and value != self.x.false_el:
-                    problem = f"relational symbol {rule.symbol!r} takes the non-Boolean value {value!r} in {format_location(loc)}"
-                    raise _rule_error("update", rule, xi, problem)
-                found.add(Update(loc, value))
-            out = self._updates[xi] = frozenset(found) if found else _NOTHING
-        return out
+        """The updates of every fired update rule: those its classified verdict carries, or built anew."""
+        out = self._memo.get(xi)
+        if isinstance(out, Verdict) and out.updates is not None:
+            return out.updates
+        found: set[Update] = set()
+        for rule in self.update_rules:
+            if not holds(self, xi, rule.guard):
+                continue
+            values: list[str] = []
+            for term in (*rule.args, rule.value):
+                value = self.value(xi, term)
+                if value is None:
+                    raise _rule_error("update", rule, xi, "mentions an unanswered reply")
+                values.append(value)
+            *args, value = values
+            loc = Location(rule.symbol, tuple(args))
+            if self.x.vocab.decl(rule.symbol).relational and value != self.x.true_el and value != self.x.false_el:
+                problem = f"relational symbol {rule.symbol!r} takes the non-Boolean value {value!r} in {format_location(loc)}"
+                raise _rule_error("update", rule, xi, problem)
+            found.add(Update(loc, value))
+        return frozenset(found) if found else _NOTHING
 
 
 def _rule_error(kind: str, rule: IssueRule | UpdateRule, xi: History, problem: str) -> InstantiationError:
@@ -724,7 +710,7 @@ def issued(spec: AlgorithmSpec, x: Structure, xi: History) -> frozenset[Query]:
 
 def pending(spec: AlgorithmSpec, x: Structure, xi: History) -> frozenset[Query]:
     """Issued queries that have no reply yet."""
-    return spec.evaluator(x).pending(xi)
+    return spec.evaluator(x).issued(xi).difference(xi.answers)
 
 
 def is_coherent(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
@@ -770,7 +756,7 @@ def next_state(spec: AlgorithmSpec, x: Structure, xi: History) -> Structure:
     v = verdict(spec, x, xi)
     if not v.is_success:
         raise NotSuccessful(f"next_state requires a successful verdict, got {v.kind}")
-    return apply_updates(x, update_set(spec, x, xi))
+    return apply_updates(x, v.updates)
 
 
 # --- Declared-bound and witness conformance --------------------------------------------
@@ -819,11 +805,11 @@ def history_valid_for(x: Structure, xi: History) -> bool:
 
 def _witness_agrees(spec: AlgorithmSpec, x: Structure, x2: Structure, xi: History) -> bool:
     rng = sorted({r for _, r, _ in xi.entries})
-    for term in spec.witness_terms:
-        names = sorted({v.name for v in term_variables(term)})
+    for w in spec.witness:
+        names = sorted({v.name for v in term_variables(w.term)})
         for combo in product(rng, repeat=len(names)):
             valuation = dict(zip(names, combo))
-            if eval_term(x, term, valuation) != eval_term(x2, term, valuation):
+            if eval_term(x, w.term, valuation) != eval_term(x2, w.term, valuation):
                 return False
     return True
 

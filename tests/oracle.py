@@ -85,7 +85,6 @@ from interstep.history import (
 from interstep.isomorphism import Isomorphism
 from interstep.model import (
     NOT_FINAL,
-    SUCCESS,
     And,
     AlgorithmSpec,
     Answered,
@@ -103,7 +102,6 @@ from interstep.model import (
     Unanswered,
     Verdict,
     explicitly_final,
-    failed,
     is_coherent,
     issued,
     pending,
@@ -410,11 +408,11 @@ def reference_verdict(spec: AlgorithmSpec, x: Structure, xi: History) -> Verdict
         return NOT_FINAL
     for rule in matched:
         if rule.outcome == "fail":
-            return failed(f"rule {rule.name}")
+            return Verdict("fail", f"rule {rule.name}")
     loc = detect_clash(reference_update_set(spec, x, xi))
     if loc is not None:
-        return failed(f"clash at {format_location(loc)}")
-    return SUCCESS
+        return Verdict("fail", f"clash at {format_location(loc)}")
+    return Verdict("success")
 
 
 def reference_update_set(spec: AlgorithmSpec, x: Structure, xi: History) -> frozenset[Update]:

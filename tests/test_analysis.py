@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 from conftest import BROKER_POOL, ROOT, SPECS, h, lq
-from interstep import analysis
+from interstep import analysis, model
 from interstep.analysis import (
     AnalysisError,
     Divergence,
@@ -22,8 +22,8 @@ from interstep.analysis import (
     weak_equivalent,
 )
 from interstep.dsl import DslError, parse_iso, parse_spec
-from interstep.history import EMPTY_HISTORY, history_sort_key, initial_segments
-from interstep.model import NOT_FINAL, UNCLASSIFIED, Answered, And, IssueRule, Unanswered, is_attainable, verdict
+from interstep.history import EMPTY_HISTORY, format_history, history_sort_key, initial_segments
+from interstep.model import UNCLASSIFIED, Answered, And, IssueRule, Unanswered, is_attainable, issued, verdict
 from oracle import (
     agreement_property,
     all_bounded_histories,
@@ -155,22 +155,47 @@ class TestEnumerate:
             assert finality == [filled.is_final(xi) for xi in histories]
             assert True in finality and False in finality
 
-    def test_enumeration_classifies_nothing(self):
-        """Enumeration records each history's finality, in the order made, classifies none and builds no update set.
+    def test_enumeration_classifies_nothing(self, monkeypatch):
+        """Enumeration records each history in the one table, in the order made, classifies none and builds no update set.
 
-        Freed with the spec, the histories then go oldest first: `enumerate` relies on it.
+        An open history's entry is its issued set, a final one's `UNCLASSIFIED`.  Freed
+        with the spec, the histories then go oldest first: `enumerate` relies on it.
         """
         spec = parse_spec(specgen.broker_text(3))
         x = spec.states[0].structure
-        res = enumerate_attainable(spec, x, POOL4)
         ev = spec.evaluator(x)
-        assert ev._updates == {}
-        assert set(ev._verdicts.values()) == {NOT_FINAL, UNCLASSIFIED}
-        made = {xi: i for i, xi in enumerate(ev._verdicts)}
+        with monkeypatch.context() as patch:
+            patch.setattr(model.Evaluator, "update_set", lambda ev, xi: pytest.fail(f"update set built at {xi}"))
+            res = enumerate_attainable(spec, x, POOL4)
+        entries = ev._memo
+        made = {xi: i for i, xi in enumerate(entries)}
         assert made.keys() == res.histories
         # each history after the one it extends
         assert all(made[initial_segments(xi)[-2]] < i for xi, i in made.items() if xi.length)
+        final = {xi for xi, entry in entries.items() if entry is UNCLASSIFIED}
+        assert 0 < len(final) < len(entries)
+        assert all(entry == issued(spec, x, xi) for xi, entry in entries.items() if xi not in final)
         assert all(ev.verdict(xi) is not UNCLASSIFIED for xi in res.histories)
+        assert all(entries[xi].kind in ("success", "fail") for xi in final)
+
+    def test_the_walks_rebuild_no_prefix(self, monkeypatch):
+        """Each node carries its parent's issued set, so neither walk asks `model.prefix` for a parent."""
+        calls = 0
+        prefix = model.prefix
+
+        def counting(xi, k):
+            nonlocal calls
+            calls += 1
+            return prefix(xi, k)
+
+        monkeypatch.setattr(model, "prefix", counting)
+        broker = parse_spec((SPECS / "broker.isa").read_text())
+        assert len(enumerate_attainable(broker, broker.state("X0"), EnumerationConfig()).histories) == 3209
+        broker, preferred = (parse_spec((SPECS / name).read_text()) for name in ("broker.isa", "broker_preferred.isa"))
+        # not equivalent at clause 3: the divergence names the queries its issued sets differ by
+        assert equivalent(broker, preferred, EnumerationConfig()).divergence.clause == 3
+        assert weak_equivalent(broker, preferred, EnumerationConfig()).divergence.clause == 3
+        assert calls == 0
 
     def test_result_memory_per_history_is_bounded(self):
         """The live bytes of a result, with the spec and its memo tables freed, stay under 880 per history."""
@@ -219,6 +244,39 @@ STEP_A_FORMS = {
 }
 
 
+# f differs between X and Y only at b; the machine issues (r) once q is answered with b
+REPLIES_SPEC = """
+algorithm replies
+vocabulary { static f/1 static yes/0 }
+labels { p q r }
+state X { base a b false true undef yes interp yes () = yes }
+state Y { base a b false true undef yes interp yes () = yes interp f (b) = yes }
+initial X Y
+query p = (p)
+query q = (q)
+issue ask_p: when start emit (p)
+issue ask_q: when start emit (q)
+issue more: when f(reply(q)) = yes() emit (r)
+bounds { max_query_len 1 max_issued 3 }
+witness { f($v) }
+"""
+
+# c differs between X and Y, the witness leaves it out, and the one update writes it
+UPDATES_SPEC = """
+algorithm updates
+vocabulary { static c/0 dynamic out/0 }
+labels { p }
+state X { base a b false true undef interp c () = a }
+state Y { base a b false true undef interp c () = b }
+initial X Y
+query p = (p)
+issue ask: when start emit (p)
+update put: when answered(p) out() := c()
+bounds { max_query_len 1 max_issued 1 }
+witness { }
+"""
+
+
 class TestCheckPostulates:
     def test_broker_conforms(self, broker):
         report = check_postulates(broker, FULL)
@@ -244,6 +302,45 @@ class TestCheckPostulates:
         assert not report.section("step-a").passed
         lax = check_postulates(gutted, SMALL, strict=False)
         assert lax.section("step-a").passed
+
+    @pytest.mark.parametrize("max_issued", [3, 4])
+    def test_issued_and_answered_counts_meet_the_bound(self, broker, max_issued):
+        """Under `no,yes` and two phases the broker issues and answers at most 4 queries: a bound of 4
+        holds, and a bound of 3 names exactly the histories that issue 4, and those that answer 4."""
+        cfg = EnumerationConfig(reply_pool=("no", "yes"), max_phases=2)
+        x = broker.state("X0")
+        attainable = enumerate_attainable(broker, x, cfg).histories
+        tight = dataclasses.replace(broker, bounds=dataclasses.replace(broker.bounds, max_issued=max_issued))
+        violations = check_postulates(tight, cfg).section("bounds").violations
+        counts = {"issued-count": ("issued", lambda xi: len(issued(broker, x, xi))), "domain-size": ("answered", lambda xi: len(xi.entries))}
+        for code, (what, count) in counts.items():
+            assert max(map(count, attainable)) == 4
+            over = sorted((xi for xi in attainable if count(xi) > max_issued), key=history_sort_key)
+            assert bool(over) == (max_issued == 3)
+            expected = [f"state X0: [{code}] {format_history(xi)}: 4 {what} queries, bound is 3" for xi in over]
+            assert [v for v in violations if f"[{code}]" in v] == expected
+
+    def test_witness_variable_ranges_over_every_reply(self):
+        """Only the second reply, b, tells X from Y through f($v), and the machine reads f at it."""
+        spec = parse_spec(REPLIES_SPEC)
+        cfg = EnumerationConfig(reply_pool=("a", "b"))
+        assert check_postulates(spec, cfg).section("witness").passed
+        # with the witness emptied, the histories where only f(b) differs are reported
+        blind = check_postulates(dataclasses.replace(spec, witness=()), cfg).section("witness").violations
+        assert "X vs Y at { (p) -> a @0 ; (q) -> b @0 }: [causes-mismatch] caused queries differ: (r)" in blind
+
+    def test_update_sets_that_differ_outside_the_witness_are_reported(self):
+        """X and Y differ only on c(), which the witness leaves out, and the update rule writes c()."""
+        violations = check_postulates(parse_spec(UPDATES_SPEC), EnumerationConfig(reply_pool=("a", "b"))).section("witness").violations
+        assert violations == tuple(
+            f"X vs Y at {{ (p) -> {r} @0 }}: [updates-mismatch] update sets differ at 2 updates" for r in ("a", "b")
+        )
+
+    def test_isomorphism_must_preserve_initiality(self):
+        """The swap maps X0 onto Y0, which is no longer initial: only initiality is broken."""
+        spec = parse_spec((SPECS / "broker_sym.isa").read_text().replace("initial X0 Y0", "initial X0"))
+        isos = parse_iso((SPECS / "swap.iso").read_text(), spec)
+        assert check_postulates(spec, SMALL, isos).section("isomorphism").violations == ("X0 -> Y0: initiality is not preserved",)
 
     def test_too_small_declared_bound_fails(self, broker):
         tight = dataclasses.replace(broker, bounds=dataclasses.replace(broker.bounds, max_issued=2))

@@ -162,7 +162,13 @@ EQUIV = [["equiv", "SPEC", *SMALL], ["equiv", "SPEC", "BASE", *SMALL], ["equiv",
 )
 def test_update_to_a_non_boolean_relational_value_exits_4(tmp_path, capsys, command):
     path = write_broker_with(tmp_path, SOLD)
-    assert run_cli("validate", path)[0] == 0
+    # validate reads the closed value in every declared state (was exit 0, result=valid)
+    assert run_cli("validate", path, "--format", "machine") == (
+        4,
+        "diagnostics=1\n"
+        "error.update-relational=45:1: rule 'mark' gives relational symbol 'sold' the non-Boolean value 'client0' in state 'X0'\n"
+        "result=invalid\n",
+    )
     # broker.isa with the relational symbol declared: without it no state is shared, and equiv fails clause 1
     assert run_on(path, command, write_broker_with(tmp_path, SOLD[:1], "base.isa")) == (4, "")
     # the rule's position, then the history: every command meets the rule first at a lone yes to offer0

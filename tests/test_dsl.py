@@ -332,6 +332,31 @@ class TestValidate:
         spec = dataclasses.replace(broker, update_rules=broker.update_rules + (rule,))
         assert any(d.code == "update-static" for d in validate_spec(spec))
 
+    @pytest.mark.parametrize(
+        "value, diagnostic",
+        [
+            ("client0()", "the non-Boolean value 'client0' in state 'X0'"),
+            ("flag()", "the non-Boolean value 'client0' in state 'Y0'"),
+            ("eq(client0(), client1())", None),
+            ("reply(choose)", None),  # reads a reply: decided where the update is built
+        ],
+    )
+    def test_closed_non_boolean_value_of_a_relational_symbol_rejected(self, value, diagnostic):
+        """A closed value is read in every declared state, up to the first where it is not Boolean."""
+        text = (SPECS / "broker_sym.isa").read_text()
+        for old, new in (
+            ("  dynamic owner/0\n", "  dynamic owner/0\n  dynamic relational sold/0\n  static flag/0\n"),
+            # flag() is true in X0 and client0 in Y0
+            ("  interp client0 () = client0\n", "  interp client0 () = client0\n  interp flag () = true\n"),
+            ("  interp client0 () = client1\n", "  interp client0 () = client1\n  interp flag () = client0\n"),
+            ("update sell0:", f"update mark: when answered(choose) sold() := {value}\nupdate sell0:"),
+        ):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        diags = [(d.code, d.message, str(d.span)) for d in validate_spec(parse_spec(text))]
+        expected = f"rule 'mark' gives relational symbol 'sold' {diagnostic}"
+        assert diags == ([] if diagnostic is None else [("update-relational", expected, "54:1")])
+
     def test_strict_mode_warns_without_final_rules(self, broker):
         spec = dataclasses.replace(broker, final_rules=())
         assert not any(d.code == "no-final-rules" for d in validate_spec(spec))
