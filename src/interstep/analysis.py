@@ -14,14 +14,20 @@ repeats and each node is built once, for every evaluator.  Truncation is per
 evaluator: its tree is cut when it has pending queries at the phase bound, or
 more of them than the room the domain bound leaves; a wider union cuts
 nothing.  `enumerate_attainable` walks one evaluator and `equiv` two.
-Attainability reads only whether a history is final, so the walk decides
-finality and nothing more: it builds no update set and records no success or
-fail verdict.  A report that needs a classification asks for it;
-`check_postulates` classifies every attainable history it reports on, so an
-update rule that fails when it fires is an error there.  The brute-force
-generator below (`all_bounded_histories`, `brute_force_coherent`) produces
-*all* phase-partitioned answer functions inside the bounds instead; no
-command calls it.  The tests use it as an oracle, and it stays in the package
+
+The walk shows each node to its caller with, per evaluator, the parent's
+issued set and the node's own where it is open, so no command rebuilds a
+prefix and no evaluator keeps a history.  Attainability reads only whether a
+history is final, so the walk decides finality and nothing more: it builds
+no update set and decides no success or fail.  `check_postulates` and `equiv`
+keep what the walk showed them and, once it is done, build a final node's
+issued set from its parent's and classify it, so an update rule that fails
+when it fires is an error there; a rule error met on the walk comes first.
+Only the counterpart states of the isomorphism and witness sections are
+asked about one history at a time.  The brute-force generator below
+(`all_bounded_histories`, `brute_force_coherent`) produces *all*
+phase-partitioned answer functions inside the bounds instead; no command
+calls it.  The tests use it as an oracle, and it stays in the package
 because `perfbench/tracing.py` traces it by name.
 
 Part a of the step postulate asks every complete coherent history to have a
@@ -49,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import EngineError
 from .history import (
@@ -67,15 +73,15 @@ from .history import (
 )
 from .isomorphism import Isomorphism, apply_isomorphism, check_isomorphism
 from .model import (
+    NOT_FINAL,
     AlgorithmSpec,
     Evaluator,
+    Verdict,
+    bound_violations,
     causes,
-    check_bounds,
     check_witness,
-    explicitly_final,
     history_valid_for,
     is_coherent,
-    pending,
     update_set,
     verdict,
 )
@@ -117,26 +123,24 @@ class EnumerationResult:
 
 def enumerate_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> EnumerationResult:
     """All attainable histories within the bounds: the walk of one evaluator's tree."""
-    found, _, truncated = _walk((spec.evaluator(x),), cfg.pool_for(x), cfg)
+    found, truncated = _walk((spec.evaluator(x),), cfg.pool_for(x), cfg, lambda *node: None)
     return EnumerationResult(frozenset(found), truncated)
 
 
-def _walk(evaluators: tuple[Evaluator, ...], pool: Sequence[str], cfg: EnumerationConfig) -> tuple[list[History], list[tuple], bool]:
+def _walk(evaluators: tuple[Evaluator, ...], pool: Sequence[str], cfg: EnumerationConfig, visit: Callable) -> tuple[list[History], bool]:
     """The union of the evaluators' attainable trees, breadth first (see the module notes): the nodes in walk order,
-    their marks (by evaluator, the parent's issued set, or None off its tree), and whether a bound cut some tree."""
+    and whether a bound cut some tree.  `visit(xi, befores, opens)` sees each node before its children are made:
+    by evaluator, its parent's issued set (None off that tree) and its own where it is open (else None)."""
     # the loop walks the lists it appends to: no child repeats; the root's parent issues nothing
     found, marks = [EMPTY_HISTORY], [(frozenset(),) * len(evaluators)]
     truncated = False
     for xi, befores in zip(found, marks):
-        # by evaluator, the node's issued and pending sets where it is open, else None (a loop: a comprehension is a call)
+        # by evaluator, the node's issued set where it is open, else None (a loop: a comprehension is a call)
         opens = []
         for ev, before in zip(evaluators, befores):
-            if before is None or ev.is_final(xi, before):
-                opens.append(None)
-            else:
-                issued = ev.issued(xi)
-                opens.append((issued, issued.difference(xi.answers)))
-        pends = [p for _, p in filter(None, opens)]
+            opens.append(None if before is None else ev.open_issued(xi, before))
+        visit(xi, befores, opens)
+        pends = [o.difference(xi.answers) for o in opens if o is not None]
         if not pends:
             continue
         # truncation is per evaluator, and there is no room at the phase bound: a wider union cuts no tree
@@ -145,11 +149,12 @@ def _walk(evaluators: tuple[Evaluator, ...], pool: Sequence[str], cfg: Enumerati
         pend = sorted(frozenset().union(*pends), key=query_sort_key)
         for size in range(1, min(len(pend), room) + 1):
             for subset in combinations(pend, size):
-                child = tuple([o[0] if o and o[1].issuperset(subset) else None for o in opens])
+                # the subset is unanswered, so it is pending where it is issued
+                child = tuple([o if o is not None and o.issuperset(subset) else None for o in opens])
                 if any(child):  # the issued set of an open node is not empty
                     found += [append_class(xi, dict(zip(subset, values))) for values in product(pool, repeat=size)]
                     marks += [child] * len(pool) ** size
-    return found, marks, truncated
+    return found, truncated
 
 
 # --- Brute-force generation (the tests' oracle; no command calls it) ---------------
@@ -259,25 +264,28 @@ def check_postulates(
     witness_section: list[str] = []
     truncated = False
 
-    # each state's attainable histories in report order, sorted once for every section;
-    # the result set is dropped once it is sorted
-    ordered: dict[str, list[History]] = {}
+    # each state's walk in report order: its attainable histories, each with its parent's issued set
+    # and its own where it is open
+    walked: dict[str, list[tuple[History, frozenset[Query], frozenset[Query] | None]]] = {}
     for sdef in spec.states:
-        res = enumerate_attainable(spec, sdef.structure, cfg)
-        truncated = truncated or res.truncated
-        ordered[sdef.name] = sorted(res.histories, key=history_sort_key)
-        del res
+        x, nodes = sdef.structure, []
+        _, cut = _walk((spec.evaluator(x),), cfg.pool_for(x), cfg, lambda xi, befores, opens: nodes.append((xi, befores[0], opens[0])))
+        truncated = truncated or cut
+        walked[sdef.name] = sorted(nodes, key=lambda node: history_sort_key(node[0]))
 
+    # each state's attainable histories in report order, with their verdicts
+    judged: dict[str, list[tuple[History, Verdict]]] = {}
     for sdef in spec.states:
-        x = sdef.structure
-        for xi in ordered[sdef.name]:
-            # enumeration decides finality only: classifying every history builds its
+        ev, judged[sdef.name] = spec.evaluator(sdef.structure), []
+        for xi, before, opened in walked[sdef.name]:
+            # the walk decides finality only: classifying every final history builds its
             # update set, so a rule error at a final history surfaces here
-            verdict(spec, x, xi)
+            judged[sdef.name].append((xi, NOT_FINAL if opened is not None else ev.classify(xi)))
             # step-a: in lax mode completion finality makes every complete history final
-            if strict and not pending(spec, x, xi) and not explicitly_final(spec, x, xi):
+            if strict and opened is None and not ev.issued(xi, before).difference(xi.answers) and not ev.explicitly_final(xi):
                 step_a.append(f"state {sdef.name}: complete coherent {format_history(xi)} has no final prefix")
-        for issue in check_bounds(spec, x, ordered[sdef.name]):
+        issued_sets = ((xi, opened if opened is not None else ev.issued(xi, before)) for xi, before, opened in walked[sdef.name])
+        for issue in bound_violations(spec.bounds, issued_sets):
             bounds.append(f"state {sdef.name}: [{issue.code}] {format_history(issue.history)}: {issue.detail}")
 
     for mapping, name_a, name_b in isos:
@@ -289,11 +297,11 @@ def check_postulates(
         if (name_a in spec.initial) != (name_b in spec.initial):
             iso_section.append(f"{name_a} -> {name_b}: initiality is not preserved")
         iso = Isomorphism.of(full)
-        for xi in ordered[name_a]:
+        for xi, va in judged[name_a]:
             moved = apply_isomorphism(iso, xi)
             if apply_isomorphism(iso, causes(spec, xa, xi)) != causes(spec, xb, moved):
                 iso_section.append(f"{name_a} -> {name_b}: causes not preserved at {format_history(xi)}")
-            va, vb = verdict(spec, xa, xi), verdict(spec, xb, moved)
+            vb = verdict(spec, xb, moved)
             if va.kind != vb.kind:
                 iso_section.append(
                     f"{name_a} -> {name_b}: verdict {va.kind} became {vb.kind} at {format_history(xi)}"
@@ -304,10 +312,10 @@ def check_postulates(
     # distinct states only: a state always agrees with itself
     for name_a, name_b in combinations([s.name for s in spec.states], 2):
         xa, xb = spec.state(name_a), spec.state(name_b)
-        for xi in ordered[name_a]:
+        for xi, va in judged[name_a]:
             if not history_valid_for(xb, xi):
                 continue
-            for issue in check_witness(spec, xa, xb, xi):
+            for issue in check_witness(spec, xa, xb, xi, va):
                 witness_section.append(f"{name_a} vs {name_b} at {format_history(xi)}: [{issue.code}] {issue.detail}")
 
     return PostulateReport(
@@ -402,20 +410,24 @@ def _compare(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: EnumerationConfi
         if x not in structs_b:
             continue
         ev_a, ev_b = spec_a.evaluator(x), spec_b.evaluator(x)
-        nodes, marks, cut = _walk((ev_a, ev_b), cfg.pool_for(x), cfg)
+        nodes: list[tuple[History, tuple, list]] = []
+        _, cut = _walk((ev_a, ev_b), cfg.pool_for(x), cfg, lambda *node: nodes.append(node))
         truncated = truncated or cut
-        # the nodes in exactly one spec, then the bad nodes of clauses 3-5 and the successful finals
+        # after the walk, as a rule error is met there first: the nodes in exactly one spec,
+        # then the bad nodes of clauses 3-5 and the successful finals
         only, bad3, bad4, bad5, succ = [], [], [], [], 0
-        for xi, (before_a, before_b) in zip(nodes, marks):
+        for xi, (before_a, before_b), (open_a, open_b) in nodes:
             if before_a is None or before_b is None:
                 only.append(xi)
                 continue
-            issued_a, issued_b = ev_a.issued(xi, before_a), ev_b.issued(xi, before_b)
+            issued_a = open_a if open_a is not None else ev_a.issued(xi, before_a)
+            issued_b = open_b if open_b is not None else ev_b.issued(xi, before_b)
             if issued_a != issued_b:
                 bad3.append((xi, issued_a ^ issued_b))
-            va, vb = ev_a.verdict(xi), ev_b.verdict(xi)
+            va = NOT_FINAL if open_a is not None else ev_a.classify(xi)
+            vb = NOT_FINAL if open_b is not None else ev_b.classify(xi)
             if va.kind != vb.kind:
-                bad4.append(xi)
+                bad4.append((xi, va.kind, vb.kind))
             if va.is_success and vb.is_success:
                 succ += 1
                 if va.updates != vb.updates:
@@ -436,8 +448,8 @@ def _compare(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: EnumerationConfi
             ClauseOutcome(4, sdef.name, not bad4, "final classifications agree" if not bad4 else f"final classifications differ on {len(bad4)} histories")
         )
         if bad4:
-            w = min(bad4, key=history_sort_key)
-            divergences.append(Divergence(sdef.name, w, 4, f"{ev_a.verdict(w).kind} vs {ev_b.verdict(w).kind}"))
+            w, kind_a, kind_b = min(bad4, key=lambda bad: history_sort_key(bad[0]))
+            divergences.append(Divergence(sdef.name, w, 4, f"{kind_a} vs {kind_b}"))
         clauses.append(
             ClauseOutcome(5, sdef.name, not bad5, f"update sets agree on {succ} successful finals" if not bad5 else f"update sets differ on {len(bad5)} histories")
         )

@@ -205,12 +205,14 @@ def _cmd_enumerate(args, out) -> int:
     truncated = res.truncated
     keys = sorted(map(history_sort_key, res.histories))
     # The listing needs only the keys, each ending in its history's text, so the
-    # histories go before it is printed.  They go through the memo tables, which
-    # hold them in the order they were made, not through the result's frozenset:
+    # histories go before it is printed.  They go level by level, shortest first
+    # (a list frees its items from its end), not in the result's hash order:
     # CPython's free lists then keep the oldest tuples and dicts, so what is
     # allocated next does not land in, and pin, the arenas taken at the peak.
+    made = sorted(res.histories, key=lambda xi: -xi.length)
     del res, x
     del spec
+    del made
     if args.format == "machine":
         out.write(f"count={len(keys)}\n")
         out.write(f"truncated={'true' if truncated else 'false'}\n")

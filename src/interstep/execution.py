@@ -17,12 +17,7 @@ from typing import Callable, Mapping, Protocol, Sequence, TextIO
 from . import dsl
 from .errors import EngineError
 from .history import EMPTY_HISTORY, History, Query, append_class, format_history, format_query, query_sort_key
-from .model import (
-    AlgorithmSpec,
-    issued,
-    pending,
-    verdict as compute_verdict,
-)
+from .model import AlgorithmSpec, verdict as compute_verdict
 from .structure import Structure, Update, apply_updates, format_structure, format_update, update_sort_key
 
 
@@ -165,19 +160,22 @@ def step(spec: AlgorithmSpec, x: Structure, env: Environment, max_phases: int = 
 
 
 def _execute(spec: AlgorithmSpec, x: Structure, env: Environment, max_phases: int) -> StepTrace:
-    xi = EMPTY_HISTORY
+    ev = spec.evaluator(x)
+    # the history so far and its parent's issued set, handed on as the walk hands it (`analysis._walk`)
+    xi, before = EMPTY_HISTORY, frozenset()
     phases: list[PhaseRecord] = []
 
     def trace(outcome: Outcome, delta=None, nxt=None, pend=frozenset()) -> StepTrace:
         return StepTrace(tuple(phases), xi, outcome, delta, nxt, pend)
 
     while True:
-        v = compute_verdict(spec, x, xi)
-        if v.is_final:
+        issued = ev.open_issued(xi, before)
+        if issued is None:
+            v = compute_verdict(spec, x, xi)
             if v.is_success:
                 return trace(Outcome("success"), delta=v.updates, nxt=apply_updates(x, v.updates))
             return trace(Outcome("fail", v.reason))
-        pend = pending(spec, x, xi)
+        pend = issued.difference(xi.answers)
         if xi.length >= max_phases:
             return trace(Outcome("hang", f"no final history within {max_phases} phases"), pend=pend)
         batch = env.next_batch(x, xi, pend)
@@ -190,10 +188,8 @@ def _execute(spec: AlgorithmSpec, x: Structure, env: Environment, max_phases: in
                 raise EnvironmentProtocolError(f"batch answers non-pending query {format_query(q)}")
             if r not in x.elements:
                 raise EnvironmentProtocolError(f"reply {r!r} to {format_query(q)} is not in the base set")
-        phases.append(
-            PhaseRecord(issued(spec, x, xi), tuple(sorted(batch.items(), key=lambda kv: query_sort_key(kv[0]))))
-        )
-        xi = append_class(xi, batch)
+        phases.append(PhaseRecord(issued, tuple(sorted(batch.items(), key=lambda kv: query_sort_key(kv[0])))))
+        xi, before = append_class(xi, batch), issued
 
 
 def run(

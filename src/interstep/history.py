@@ -123,6 +123,10 @@ class History:
             last = key
         if len({q for q, _, _ in self.entries}) != len(self.entries):
             self._reject()
+        # hashed here, before `answers` and `phase_map` are cached, so that every instance
+        # dict has its keys in one order and shares them: a hash set after them made an
+        # enumeration's result 925 bytes per history instead of 758
+        object.__setattr__(self, "_hash", hash(self.entries))
 
     def _reject(self) -> NoReturn:
         phases = sorted({p for _, _, p in self.entries})
@@ -131,12 +135,7 @@ class History:
         raise HistoryError("history rows are not in canonical form; use mk_history")
 
     def __hash__(self) -> int:
-        # the memo key of every evaluator table; compute once
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.entries)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
     @property
     def length(self) -> int:

@@ -17,17 +17,18 @@ Every complete history counts as final even without a matching final rule
 histories whose finality is only implicit.
 
 An `Evaluator`, bound to one description and one state, computes causes,
-issued, the verdict and the update set.  Its one memo table holds an open
-history's issued set and a final history's verdict, which carries its update
-set once classified.  A history issues what its parent issued and what it
-causes: the walk (`analysis._walk`) hands the parent's set over, others read
-it through `prefix`.  The description owns its evaluators and their tables.
+issued, finality, the verdict and the update set, each a function of the
+history alone: it keeps nothing per history.  A history issues what its
+parent issued and what it causes, so `issued(xi, before)` takes the parent's
+set; without it the parent's set is built by the definition, through
+`prefix`.  The walk (`analysis._walk`) and the executor hand each history its
+parent's set, so only a point query on another history follows `prefix`.
 
-Enumeration asks only `is_final`: whether a final rule's guard holds or
-nothing is pending.  That builds no update set, so it neither decides
-success or fail nor meets an update rule's error.  Recording a final history
-as `UNCLASSIFIED`, the table holds each history enumeration made, in order:
-freed with the description, they go oldest first (see `cli._cmd_enumerate`).
+`open_issued` gives an open history's issued set, or None for a final one:
+a final rule's guard holds or nothing is pending.  That builds no update
+set, so enumeration neither decides success or fail nor meets an update
+rule's error.  `classify` gives the verdict of a history known to be final,
+with the update set it built.
 
 Guards are compiled, each at its first use, into functions `f(ev, xi)` that
 the description keeps, keyed by the guard's identity, and shares between its
@@ -289,7 +290,7 @@ class AlgorithmSpec:
         return {}
 
     def evaluator(self, x: Structure) -> Evaluator:
-        """This description's evaluator at state x; its memo tables live as long as the spec."""
+        """This description's evaluator at state x; its per-state tables live as long as the spec."""
         ev = self._evaluators.get(x)
         if ev is None:
             ev = self._evaluators[x] = Evaluator(self, x)
@@ -303,7 +304,7 @@ class AlgorithmSpec:
 class Verdict:
     """NotFinal, or a final success/fail classification (mutually exclusive), with any update set it built."""
 
-    kind: str  # "not-final" | "success" | "fail"; "final" only in UNCLASSIFIED
+    kind: str  # "not-final" | "success" | "fail"
     reason: str | None = None
     updates: frozenset[Update] | None = field(default=None, compare=False, repr=False)
 
@@ -321,9 +322,6 @@ class Verdict:
 
 
 NOT_FINAL = Verdict("not-final")
-# Final, success or fail not yet decided: the table's entry for a final history
-# that only `is_final` was asked about.  `verdict` never returns it.
-UNCLASSIFIED = Verdict("final")
 
 
 # --- Evaluation at one state -------------------------------------------------------
@@ -350,17 +348,17 @@ def _named_template(by_name: dict[str, QueryTemplate], qname: str) -> QueryTempl
 
 
 class Evaluator:
-    """The semantics of one machine description at one state, memoized per history.
+    """The semantics of one machine description at one state, as functions of the history.
 
-    One table holds the instance of each named template that reads no reply;
-    other named templates are resolved once per history, and an issue rule's
-    own template whenever the rule fires.  Closed terms are evaluated once.
-    `_memo` holds an open history's issued set and a final history's verdict.
+    It keeps only what depends on the state alone: the instance of each named
+    template that reads no reply, and the values of closed terms.  Other named
+    templates are resolved at each use, and an issue rule's own template
+    whenever the rule fires.
     """
 
     __slots__ = (
         "_template_by_name", "issue_rules", "final_rules", "update_rules", "x", "_guards", "_nodes", "_reply_free",
-        "_fixed_by_name", "_constants", "_closed", "_instances", "_memo", "__weakref__",
+        "_fixed_by_name", "_constants", "_closed", "__weakref__",
     )
 
     def __init__(self, spec: AlgorithmSpec, x: Structure):
@@ -381,8 +379,6 @@ class Evaluator:
         # values of the closed terms of compiled guards, keyed by the term's repr: by
         # value, because a spec repeats closed terms such as `yes()` in many guards
         self._closed: dict[str, str] = {}
-        self._instances: dict[tuple[History, str], Query | None] = {}
-        self._memo: dict[History, frozenset[Query] | Verdict] = {}
 
     # --- template instantiation
 
@@ -397,10 +393,7 @@ class Evaluator:
         if qname in self._reply_free:
             q = self._fixed_by_name[qname] = self.instantiate(xi, template)
             return q
-        key = (xi, qname)
-        if key not in self._instances:
-            self._instances[key] = self.instantiate(xi, template, _active + (qname,))
-        return self._instances[key]
+        return self.instantiate(xi, template, _active + (qname,))
 
     def instantiate(self, xi: History, template: QueryTemplate, _active: tuple[str, ...] = ()) -> Query | None:
         """Evaluate a template against a history; None when a needed reply is missing."""
@@ -459,10 +452,7 @@ class Evaluator:
         return frozenset(found) if found else _NOTHING
 
     def issued(self, xi: History, before: frozenset[Query] | None = None) -> frozenset[Query]:
-        """The queries issued at xi; `before` is its parent's issued set, read through `prefix` when not given."""
-        out = self._memo.get(xi)
-        if isinstance(out, frozenset):
-            return out
+        """The queries issued at xi; `before` is its parent's issued set, built by the definition through `prefix` when not given."""
         out = self.causes(xi)
         if before is None:
             before = self.issued(prefix(xi, xi.length - 1)) if xi.entries else _NOTHING
@@ -477,28 +467,24 @@ class Evaluator:
                 return True
         return False
 
-    def is_final(self, xi: History, before: frozenset[Query] | None = None) -> bool:
-        """Whether the history is final, without classifying it: no update set is built.
+    def open_issued(self, xi: History, before: frozenset[Query] | None = None) -> frozenset[Query] | None:
+        """An open history's issued set, None for a final one; `before` is as for `issued`.
 
-        The answer is recorded either way, a final history as `UNCLASSIFIED`; `before` is as for `issued`.
+        Final means a final rule's guard holds or nothing is pending, so no update set is built.
         """
-        out = self._memo.get(xi)
-        if out is None:
-            out = UNCLASSIFIED if self.explicitly_final(xi) else self.issued(xi, before)
-            if out is not UNCLASSIFIED and not out.difference(xi.answers):
-                out = UNCLASSIFIED
-            self._memo[xi] = out
-        return isinstance(out, Verdict)
+        if self.explicitly_final(xi):
+            return None
+        out = self.issued(xi, before)
+        return out if out.difference(xi.answers) else None
+
+    def is_final(self, xi: History) -> bool:
+        return self.open_issued(xi) is None
 
     def verdict(self, xi: History) -> Verdict:
-        if not self.is_final(xi):
-            return NOT_FINAL
-        out = self._memo[xi]
-        if out is UNCLASSIFIED:
-            out = self._memo[xi] = self._classify(xi)
-        return out
+        return NOT_FINAL if self.open_issued(xi) is not None else self.classify(xi)
 
-    def _classify(self, xi: History) -> Verdict:
+    def classify(self, xi: History) -> Verdict:
+        """The success or fail verdict of a history known to be final, with the update set it built."""
         for rule in self.final_rules:
             if rule.outcome == "fail" and holds(self, xi, rule.guard):
                 return Verdict("fail", f"rule {rule.name}")
@@ -509,10 +495,7 @@ class Evaluator:
         return Verdict("success", None, updates)
 
     def update_set(self, xi: History) -> frozenset[Update]:
-        """The updates of every fired update rule: those its classified verdict carries, or built anew."""
-        out = self._memo.get(xi)
-        if isinstance(out, Verdict) and out.updates is not None:
-            return out.updates
+        """The updates of every fired update rule."""
         found: set[Update] = set()
         for rule in self.update_rules:
             if not holds(self, xi, rule.guard):
@@ -771,18 +754,22 @@ class BoundsIssue:
 
 def check_bounds(spec: AlgorithmSpec, x: Structure, attainables: Iterable[History]) -> list[BoundsIssue]:
     """Report attainable histories that break the declared work bounds, in the order given."""
+    return bound_violations(spec.bounds, ((xi, issued(spec, x, xi)) for xi in attainables))
+
+
+def bound_violations(bounds: Bounds, issued_sets: Iterable[tuple[History, frozenset[Query]]]) -> list[BoundsIssue]:
+    """As `check_bounds`, from each history paired with its issued set."""
     issues: list[BoundsIssue] = []
-    for xi in attainables:
-        qs = issued(spec, x, xi)
+    for xi, qs in issued_sets:
         for q in sorted(qs, key=query_sort_key):
-            if len(q.parts) > spec.bounds.max_query_len:
+            if len(q.parts) > bounds.max_query_len:
                 issues.append(
-                    BoundsIssue(xi, "query-length", f"{format_query(q)} has {len(q.parts)} components, bound is {spec.bounds.max_query_len}")
+                    BoundsIssue(xi, "query-length", f"{format_query(q)} has {len(q.parts)} components, bound is {bounds.max_query_len}")
                 )
-        if len(qs) > spec.bounds.max_issued:
-            issues.append(BoundsIssue(xi, "issued-count", f"{len(qs)} issued queries, bound is {spec.bounds.max_issued}"))
-        if len(xi.entries) > spec.bounds.max_issued:
-            issues.append(BoundsIssue(xi, "domain-size", f"{len(xi.entries)} answered queries, bound is {spec.bounds.max_issued}"))
+        if len(qs) > bounds.max_issued:
+            issues.append(BoundsIssue(xi, "issued-count", f"{len(qs)} issued queries, bound is {bounds.max_issued}"))
+        if len(xi.entries) > bounds.max_issued:
+            issues.append(BoundsIssue(xi, "domain-size", f"{len(xi.entries)} answered queries, bound is {bounds.max_issued}"))
     return issues
 
 
@@ -814,10 +801,10 @@ def _witness_agrees(spec: AlgorithmSpec, x: Structure, x2: Structure, xi: Histor
     return True
 
 
-def check_witness(spec: AlgorithmSpec, x: Structure, x2: Structure, xi: History) -> list[WitnessIssue]:
+def check_witness(spec: AlgorithmSpec, x: Structure, x2: Structure, xi: History, va: Verdict | None = None) -> list[WitnessIssue]:
     """If the witness terms cannot tell two states apart under this history's
     replies, the machine's behavior at the history must agree; report any
-    disagreement as witness insufficiency."""
+    disagreement as witness insufficiency.  `va`, if given, is xi's verdict at x."""
     if not history_valid_for(x, xi) or not history_valid_for(x2, xi):
         raise IncompatibleHistory("history mentions elements outside a state's base set")
     if not _witness_agrees(spec, x, x2, xi):
@@ -827,7 +814,7 @@ def check_witness(spec: AlgorithmSpec, x: Structure, x2: Structure, xi: History)
     if ca != cb:
         diff = ", ".join(format_query(q) for q in sorted(ca ^ cb, key=query_sort_key))
         issues.append(WitnessIssue("causes-mismatch", f"caused queries differ: {diff}"))
-    va, vb = verdict(spec, x, xi), verdict(spec, x2, xi)
+    va, vb = va or verdict(spec, x, xi), verdict(spec, x2, xi)
     if va.kind != vb.kind:
         issues.append(WitnessIssue("finality-mismatch", f"verdicts differ: {va.kind} vs {vb.kind}"))
     ua, ub = update_set(spec, x, xi), update_set(spec, x2, xi)

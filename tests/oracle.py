@@ -11,11 +11,14 @@ and its truncation flag), the equivalence walk and `check_postulates`.  The gene
 re-exported, so that the tests take every brute-force name from this module.
 
 `reference_compare` is the equivalence check that the single walk of
-`interstep.analysis._compare` replaced, kept unchanged: it enumerates each
-description's attainable tree on its own, takes the symmetric difference and
-the intersection of the two sets, and sorts the intersection to find each
+`interstep.analysis._compare` replaced: it enumerates each description's
+attainable tree on its own, takes the symmetric difference and the
+intersection of the two sets, and sorts the intersection to find each
 clause's first bad history.  The walk's reports must equal its reports, full
-and weak.
+and weak.  The evaluator keeps nothing per history, so it and
+`brute_force_attainable` read issued sets and verdicts through
+`_point_queries`, a cache that lives for one call and computes each
+history's values once.
 
 `reference_causes`, `reference_issued`, `reference_verdict` and
 `reference_update_set` are the paper's definitions read off the rules
@@ -48,7 +51,7 @@ lexer rejects them).  `reference_parse_spec` runs the parser on its tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
@@ -81,6 +84,7 @@ from interstep.history import (
     initial_segments,
     prefix,
     query_sort_key,
+    restrict_before,
 )
 from interstep.isomorphism import Isomorphism
 from interstep.model import (
@@ -102,10 +106,7 @@ from interstep.model import (
     Unanswered,
     Verdict,
     explicitly_final,
-    is_coherent,
-    issued,
     pending,
-    update_set,
     verdict,
 )
 from interstep.spans import Span
@@ -172,16 +173,41 @@ __all__ = [
 ]
 
 
-def _has_proper_final_prefix(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
-    return any(verdict(spec, x, eta).is_final for eta in initial_segments(xi)[:-1])
+def _point_queries(spec: AlgorithmSpec, x: Structure) -> tuple[Callable[[History], frozenset[Query]], Callable[[History], Verdict]]:
+    """`issued` and `verdict` at one state, each computed once per history for as long as the pair lives.
+
+    The evaluator keeps nothing per history, and a point query builds the parent's
+    issued set by the definition; these build it once and hand it on, as the walk does.
+    """
+    ev = spec.evaluator(x)
+
+    @cache
+    def issued_at(xi: History) -> frozenset[Query]:
+        return ev.issued(xi, issued_at(prefix(xi, xi.length - 1)) if xi.entries else None)
+
+    @cache
+    def verdict_at(xi: History) -> Verdict:
+        # final: nothing is pending, or a final rule's guard holds
+        final = not issued_at(xi).difference(xi.answers) or ev.explicitly_final(xi)
+        return ev.classify(xi) if final else NOT_FINAL
+
+    return issued_at, verdict_at
+
+
+def _has_proper_final_prefix(verdict_at: Callable[[History], Verdict], xi: History) -> bool:
+    return any(verdict_at(eta).is_final for eta in initial_segments(xi)[:-1])
 
 
 def brute_force_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> frozenset[History]:
-    """Filter all bounded histories by coherence and no-proper-final-prefix."""
+    """Filter all bounded histories by coherence and no-proper-final-prefix.
+
+    Coherent: every answered query was issued at the initial segment before its phase, as `is_coherent` reads it.
+    """
+    issued_at, verdict_at = _point_queries(spec, x)
     return frozenset(
         xi
         for xi in all_bounded_histories(spec, x, cfg)
-        if is_coherent(spec, x, xi) and not _has_proper_final_prefix(spec, x, xi)
+        if all(q in issued_at(restrict_before(xi, q)) for q in xi.answers) and not _has_proper_final_prefix(verdict_at, xi)
     )
 
 
@@ -266,27 +292,25 @@ def reference_compare(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: Enumera
                 w = min(res_a.histories ^ res_b.histories, key=history_sort_key)
                 divergences.append(Divergence(sdef.name, w, 2, "attainable in exactly one description"))
         common = sorted(res_a.histories & res_b.histories, key=history_sort_key)
-        bad3 = [xi for xi in common if issued(spec_a, x, xi) != issued(spec_b, x, xi)]
+        (issued_a, verdict_a), (issued_b, verdict_b) = _point_queries(spec_a, x), _point_queries(spec_b, x)
+        bad3 = [xi for xi in common if issued_a(xi) != issued_b(xi)]
         clauses.append(
             ClauseOutcome(3, sdef.name, not bad3, f"issued sets agree on {len(common)} histories" if not bad3 else f"issued sets differ on {len(bad3)} histories")
         )
         if bad3:
             w = bad3[0]
-            sa = issued(spec_a, x, w)
-            sb = issued(spec_b, x, w)
-            diff = " ".join(format_query(q) for q in sorted(sa ^ sb, key=query_sort_key))
+            diff = " ".join(format_query(q) for q in sorted(issued_a(w) ^ issued_b(w), key=query_sort_key))
             divergences.append(Divergence(sdef.name, w, 3, f"issued sets differ by {diff}"))
-        bad4 = [xi for xi in common if verdict(spec_a, x, xi).kind != verdict(spec_b, x, xi).kind]
+        bad4 = [xi for xi in common if verdict_a(xi).kind != verdict_b(xi).kind]
         clauses.append(
             ClauseOutcome(4, sdef.name, not bad4, "final classifications agree" if not bad4 else f"final classifications differ on {len(bad4)} histories")
         )
         if bad4:
             w = bad4[0]
-            divergences.append(
-                Divergence(sdef.name, w, 4, f"{verdict(spec_a, x, w).kind} vs {verdict(spec_b, x, w).kind}")
-            )
-        succ = [xi for xi in common if verdict(spec_a, x, xi).is_success and verdict(spec_b, x, xi).is_success]
-        bad5 = [xi for xi in succ if update_set(spec_a, x, xi) != update_set(spec_b, x, xi)]
+            divergences.append(Divergence(sdef.name, w, 4, f"{verdict_a(w).kind} vs {verdict_b(w).kind}"))
+        succ = [xi for xi in common if verdict_a(xi).is_success and verdict_b(xi).is_success]
+        # a success verdict carries the update set that classifying built
+        bad5 = [xi for xi in succ if verdict_a(xi).updates != verdict_b(xi).updates]
         clauses.append(
             ClauseOutcome(5, sdef.name, not bad5, f"update sets agree on {len(succ)} successful finals" if not bad5 else f"update sets differ on {len(bad5)} histories")
         )

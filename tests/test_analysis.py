@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 from conftest import BROKER_POOL, ROOT, SPECS, h, lq
-from interstep import analysis, model
+from interstep import analysis, execution, model
 from interstep.analysis import (
     AnalysisError,
     Divergence,
@@ -22,8 +22,8 @@ from interstep.analysis import (
     weak_equivalent,
 )
 from interstep.dsl import DslError, parse_iso, parse_spec
-from interstep.history import EMPTY_HISTORY, format_history, history_sort_key, initial_segments
-from interstep.model import UNCLASSIFIED, Answered, And, IssueRule, Unanswered, is_attainable, issued, verdict
+from interstep.history import EMPTY_HISTORY, History, format_history, history_sort_key, initial_segments
+from interstep.model import Answered, And, IssueRule, Unanswered, is_attainable, issued, verdict
 from oracle import (
     agreement_property,
     all_bounded_histories,
@@ -156,30 +156,20 @@ class TestEnumerate:
             assert True in finality and False in finality
 
     def test_enumeration_classifies_nothing(self, monkeypatch):
-        """Enumeration records each history in the one table, in the order made, classifies none and builds no update set.
-
-        An open history's entry is its issued set, a final one's `UNCLASSIFIED`.  Freed
-        with the spec, the histories then go oldest first: `enumerate` relies on it.
-        """
+        """Enumeration decides finality only: it classifies no history and builds no update set."""
         spec = parse_spec(specgen.broker_text(3))
         x = spec.states[0].structure
-        ev = spec.evaluator(x)
         with monkeypatch.context() as patch:
+            patch.setattr(model.Evaluator, "classify", lambda ev, xi: pytest.fail(f"classified {xi}"))
             patch.setattr(model.Evaluator, "update_set", lambda ev, xi: pytest.fail(f"update set built at {xi}"))
             res = enumerate_attainable(spec, x, POOL4)
-        entries = ev._memo
-        made = {xi: i for i, xi in enumerate(entries)}
-        assert made.keys() == res.histories
-        # each history after the one it extends
-        assert all(made[initial_segments(xi)[-2]] < i for xi, i in made.items() if xi.length)
-        final = {xi for xi, entry in entries.items() if entry is UNCLASSIFIED}
-        assert 0 < len(final) < len(entries)
-        assert all(entry == issued(spec, x, xi) for xi, entry in entries.items() if xi not in final)
-        assert all(ev.verdict(xi) is not UNCLASSIFIED for xi in res.histories)
-        assert all(entries[xi].kind in ("success", "fail") for xi in final)
+        assert len(res.histories) == 7841
+        # some of them are final, so a classification was there to be made
+        ev = spec.evaluator(x)
+        assert 0 < sum(ev.is_final(xi) for xi in res.histories) < len(res.histories)
 
     def test_the_walks_rebuild_no_prefix(self, monkeypatch):
-        """Each node carries its parent's issued set, so neither walk asks `model.prefix` for a parent."""
+        """Each node carries its parent's issued set, so no walk asks `model.prefix` for a parent."""
         calls = 0
         prefix = model.prefix
 
@@ -195,6 +185,8 @@ class TestEnumerate:
         # not equivalent at clause 3: the divergence names the queries its issued sets differ by
         assert equivalent(broker, preferred, EnumerationConfig()).divergence.clause == 3
         assert weak_equivalent(broker, preferred, EnumerationConfig()).divergence.clause == 3
+        broker = parse_spec((SPECS / "broker.isa").read_text())
+        assert check_postulates(broker, EnumerationConfig(reply_pool=("no", "yes"), max_phases=3, max_domain=4)).passed
         assert calls == 0
 
     def test_result_memory_per_history_is_bounded(self):
@@ -586,7 +578,7 @@ class TestIsoFile:
 
 
 def test_analysed_spec_is_freed():
-    """The memo tables belong to the spec, so nothing keeps an analysed spec alive.
+    """The evaluators' tables belong to the spec, so nothing keeps an analysed spec alive.
 
     No reference cycle holds it, its evaluators or its compiled guards either:
     dropping the last reference frees them all at once, with the cycle
@@ -603,5 +595,27 @@ def test_analysed_spec_is_freed():
         assert len(refs) == 3
         del spec
         assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_an_analysed_spec_holds_no_history():
+    """The evaluators keep nothing per history: once the results are dropped, no `History` is alive while the spec lives.
+
+    The collector is off, so a history that only it would free counts as alive.
+    """
+    spec = parse_spec((SPECS / "broker.isa").read_text())
+    x = spec.state("X0")
+    script = execution.parse_script((SPECS / "scripts" / "tie.env").read_text())
+    gc.collect()
+    alive = sum(isinstance(o, History) for o in gc.get_objects())
+    gc.disable()
+    try:
+        enumerate_attainable(spec, x, SMALL)
+        check_postulates(spec, SMALL)
+        equivalent(spec, spec, SMALL)
+        assert execution.step(spec, x, execution.ScriptedEnvironment(script)).outcome.kind == "success"
+        assert verdict(spec, x, h(("offer0", "yes", 0))).is_success
+        assert sum(isinstance(o, History) for o in gc.get_objects()) == alive
     finally:
         gc.enable()
