@@ -121,9 +121,11 @@ class EnumerationResult:
     truncated: bool
 
 
-def enumerate_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> EnumerationResult:
-    """All attainable histories within the bounds: the walk of one evaluator's tree."""
-    found, truncated = _walk((spec.evaluator(x),), cfg.pool_for(x), cfg, lambda *node: None)
+def enumerate_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig, visit: Callable | None = None) -> EnumerationResult:
+    """All attainable histories within the bounds: the walk of one evaluator's tree.  `visit(xi, before)`, if
+    given, sees each history in walk order with its parent's issued set (empty at the root)."""
+    see = (lambda xi, befores, opens: visit(xi, befores[0])) if visit else (lambda *node: None)
+    found, truncated = _walk((spec.evaluator(x),), cfg.pool_for(x), cfg, see)
     return EnumerationResult(frozenset(found), truncated)
 
 

@@ -201,18 +201,19 @@ def _cmd_run(args, out) -> int:
 def _cmd_enumerate(args, out) -> int:
     spec = _load_spec(args.spec)
     x = _pick_state(spec, args.state)
-    res = analysis.enumerate_attainable(spec, x, _config(args))
+    held: list[frozenset] = []  # the walk's issued sets
+    res = analysis.enumerate_attainable(spec, x, _config(args), lambda xi, before: held.append(before))
     truncated = res.truncated
     keys = sorted(map(history_sort_key, res.histories))
     # The listing needs only the keys, each ending in its history's text, so the
-    # histories go before it is printed.  They go level by level, shortest first
-    # (a list frees its items from its end), not in the result's hash order:
-    # CPython's free lists then keep the oldest tuples and dicts, so what is
-    # allocated next does not land in, and pin, the arenas taken at the peak.
+    # walk's data goes before it is printed: the issued sets first (held while the
+    # keys are built, so that the keys do not fill the holes they leave), then the
+    # histories level by level, shortest first (a list frees its items from its
+    # end), not in the result's hash order.  CPython's free lists then keep the
+    # oldest tuples and dicts, so what is allocated next does not land in, and
+    # pin, the arenas taken at the peak.
     made = sorted(res.histories, key=lambda xi: -xi.length)
-    del res, x
-    del spec
-    del made
+    del res, x, spec, held, made
     if args.format == "machine":
         out.write(f"count={len(keys)}\n")
         out.write(f"truncated={'true' if truncated else 'false'}\n")

@@ -112,6 +112,15 @@ class TestEnumerate:
             for eta in initial_segments(xi):
                 assert eta in res.histories
 
+    def test_visit_sees_each_history_in_walk_order_with_its_parents_issued_set(self, broker, broker_state):
+        seen = []
+        res = enumerate_attainable(broker, broker_state, SMALL, lambda xi, before: seen.append((xi, before)))
+        assert len(seen) == len(res.histories) and {xi for xi, _ in seen} == res.histories
+        assert [xi.length for xi, _ in seen] == sorted(xi.length for xi, _ in seen)
+        assert seen[0] == (EMPTY_HISTORY, frozenset())
+        for xi, before in seen[1:]:
+            assert before == issued(broker, broker_state, initial_segments(xi)[-2])
+
     def test_truncation_flag(self, broker, broker_state):
         cfg = EnumerationConfig(reply_pool=("yes", "no"), max_phases=1, max_domain=4)
         assert enumerate_attainable(broker, broker_state, cfg).truncated
