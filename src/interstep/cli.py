@@ -201,19 +201,19 @@ def _cmd_run(args, out) -> int:
 def _cmd_enumerate(args, out) -> int:
     spec = _load_spec(args.spec)
     x = _pick_state(spec, args.state)
-    held: list[frozenset] = []  # the walk's issued sets
-    res = analysis.enumerate_attainable(spec, x, _config(args), lambda xi, before: held.append(before))
+    order: list = []
+    res = analysis.enumerate_attainable(spec, x, _config(args), lambda xi, before: order.append(xi))
     truncated = res.truncated
     keys = sorted(map(history_sort_key, res.histories))
     # The listing needs only the keys, each ending in its history's text, so the
-    # walk's data goes before it is printed: the issued sets first (held while the
-    # keys are built, so that the keys do not fill the holes they leave), then the
-    # histories level by level, shortest first (a list frees its items from its
-    # end), not in the result's hash order.  CPython's free lists then keep the
-    # oldest tuples and dicts, so what is allocated next does not land in, and
-    # pin, the arenas taken at the peak.
-    made = sorted(res.histories, key=lambda xi: -xi.length)
-    del res, x, spec, held, made
+    # histories go before it is printed: by level, shortest first (a list frees
+    # its items from its end), the first level in walk order from a third of the
+    # way in.  CPython's free lists keep the first tuples and dicts freed and hand
+    # them out next; in hash order those lay at the walk's start or peak by chance.
+    ones = [xi for xi in order if xi.length == 1]
+    k = len(ones) // 3
+    made = sorted((xi for xi in res.histories if xi.length > 1), key=lambda xi: -xi.length) + (ones[k:] + ones[:k])[::-1]
+    del order, ones, res, x, spec, made
     if args.format == "machine":
         out.write(f"count={len(keys)}\n")
         out.write(f"truncated={'true' if truncated else 'false'}\n")
