@@ -82,8 +82,8 @@ from .model import (
     check_witness,
     history_valid_for,
     is_coherent,
-    update_set,
     verdict,
+    verdict_updates,
 )
 from .structure import Structure, eval_term, term_variables
 
@@ -298,17 +298,17 @@ def check_postulates(
             continue
         if (name_a in spec.initial) != (name_b in spec.initial):
             iso_section.append(f"{name_a} -> {name_b}: initiality is not preserved")
-        iso = Isomorphism.of(full)
+        iso, judged_b = Isomorphism.of(full), dict(judged[name_b])
         for xi, va in judged[name_a]:
             moved = apply_isomorphism(iso, xi)
             if apply_isomorphism(iso, causes(spec, xa, xi)) != causes(spec, xb, moved):
                 iso_section.append(f"{name_a} -> {name_b}: causes not preserved at {format_history(xi)}")
-            vb = verdict(spec, xb, moved)
+            vb = judged_b.get(moved) or verdict(spec, xb, moved)
             if va.kind != vb.kind:
                 iso_section.append(
                     f"{name_a} -> {name_b}: verdict {va.kind} became {vb.kind} at {format_history(xi)}"
                 )
-            if apply_isomorphism(iso, update_set(spec, xa, xi)) != update_set(spec, xb, moved):
+            if apply_isomorphism(iso, verdict_updates(spec, xa, xi, va)) != verdict_updates(spec, xb, moved, vb):
                 iso_section.append(f"{name_a} -> {name_b}: updates not preserved at {format_history(xi)}")
 
     # distinct states only: a state always agrees with itself

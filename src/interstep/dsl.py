@@ -54,20 +54,23 @@ always parses as the reply-comparison atom.  `not`, parenthesized guards and
 term arguments nest at most MAX_NESTING deep, and each `and`/`or` of a chain
 counts as one more level.
 
-Lexer: tokens are ASCII.  NAME is `[A-Za-z_][A-Za-z0-9_]*` and NAT is
-`[0-9]+`: numerals are ASCII digits only, so `²` or `٣` is an unexpected
-character, and a word with non-ASCII letters or digits is rejected whole.
-Only comments may hold other characters.  One compiled regex matches a gap
-(blanks and comments) and the token after it, position by position; tokens
-keep plain int positions and build their Span only when it is read.  In a
-query's parentheses outside specs, a second regex without comments takes over.
+Lexer: tokens are ASCII.  NAME is `[A-Za-z_][A-Za-z0-9_]*` and NAT is `[0-9]+`:
+numerals are ASCII digits only, so `²` or `٣` is an unexpected character, and a
+word with non-ASCII letters or digits is rejected whole; only comments hold other
+characters.  One regex, run by `split`, matches each token, comment and stray
+character, into parallel lists of kinds, texts and character offsets that the
+parser reads by index.  Spans are built for AST nodes and errors only, by `bisect`
+over the newline offsets.  Outside specs, `#name` in a query's parentheses is a word.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, NoReturn, TypeVar
+from itertools import accumulate, compress
+from string import ascii_letters
+from typing import Callable, NamedTuple, TypeVar
 
 from .errors import EngineError
 from .history import Elem, History, Label, Query, format_query, mk_history
@@ -145,97 +148,118 @@ _KEYWORDS = {
     "simultaneous", "bounds", "witness", "static", "dynamic", "relational",
 }
 
-# Each match is one gap (blanks and `#` comments) and the token after it:
-# group 1 punctuation, 2 a numeral, 3 a word.  The token is optional, so a
-# match that captures none ends where the text ends or no token can start.
-_TOKEN = re.compile(
-    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
-    r"(?:(->|:=|[{}():;,=/@$])|([0-9]+)|([A-Za-z_][A-Za-z0-9_]*))?"
-)
-# In a query's parentheses outside specs: no comment, and `#name` is a word.
-_TOKEN_IN_QUERY = re.compile(
-    r"[ \t\r\n]*"
-    r"(?:(->|:=|[{}():;,=/@$])|([0-9]+)|(#?[A-Za-z_][A-Za-z0-9_]*))?"
-)
+# Each match is a token, a `#` comment or one stray character, so that only
+# blanks fall between matches and `split` cuts the text into blanks and matches.
+_TOKEN = re.compile(r"(->|:=|[{}():;,=/@$]|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|#[^\n]*|[^ \t\r\n])")
+# A match's kind: its text for a keyword or punctuation, else by its first
+# character; "#" marks a comment, and a stray character has none.
+_KINDS = {word: word for word in (*_KEYWORDS, "->", ":=", *"{}():;,=/@$")}
+_FIRST = {**dict.fromkeys("0123456789", "NAT"), **dict.fromkeys(ascii_letters + "_", "IDENT"), "#": "#"}
+_NEWLINE = re.compile(r"\n")
+_NON_ASCII = re.compile(r"[^\x00-\x7f]+")
+
+SpanFn = Callable[[int, int], Span]
 
 
-class Token:
-    """A token with its position as plain ints; `span` builds the Span on demand."""
+class Token(NamedTuple):
+    """A token as `tokenize` shows it; the parser reads the lexer's lists instead."""
 
-    __slots__ = ("kind", "text", "line", "column", "start", "end")
-
-    def __init__(self, kind: str, text: str, line: int, column: int, start: int, end: int):
-        self.kind = kind  # keyword text, punct text, "IDENT", "NAT", "EOF"
-        self.text = text
-        self.line = line
-        self.column = column
-        self.start = start  # byte offsets, as in Span
-        self.end = end
-
-    @property
-    def span(self) -> Span:
-        return Span(self.line, self.column, self.start, self.end)
+    kind: str  # keyword text, punct text, "IDENT", "NAT", "EOF"
+    text: str
+    span: Span
 
 
 def tokenize(text: str, elements: bool = False) -> list[Token]:
-    """Split text into tokens; each carries its line, column and byte offsets.
+    """Split text into tokens, each with its span, the last EOF; for `elements` see `_lex`."""
+    kinds, texts, span = _lex(text, elements)
+    return [Token(kind, word, span(i, i)) for i, (kind, word) in enumerate(zip(kinds, texts))]
 
-    Tokens are ASCII, so only the gaps between them (comments) can hold
-    other characters: line and column come from the newlines in the gaps,
-    and the byte offset is the character offset plus the extra UTF-8 bytes
-    of the gaps so far.  With `elements`, for the texts that hold query
-    literals, a word inside parentheses may be an element `#name`.
+
+def _lex(text: str, elements: bool = False) -> tuple[list[str], list[str], SpanFn]:
+    """The kinds and texts of text's tokens, the last EOF, and `span(i, j)` from token i to token j.
+
+    A token's character offset is the length of the pieces before it.  With
+    `elements`, for the texts that hold query literals, a comment inside
+    parentheses is an element `#name`, after which the text is cut anew.
     """
-    tokens: list[Token] = []
-    match = _TOKEN.match
-    ascii_text = text.isascii()
-    pos = 0  # character offset where the next gap starts
-    line = 1
-    line_start = 0  # character offset of the current line's first character
-    shift = 0  # byte offset minus character offset
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []  # character offsets
+    pos, inside = 0, False  # where the text is cut; whether in a query's parentheses
     while True:
-        m = match(text, pos)
-        group = m.lastindex
-        at = m.start(group) if group else m.end()
-        newlines = text.count("\n", pos, at)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", pos, at) + 1
-        if not ascii_text:
-            gap = text[pos:at]
-            shift += len(gap.encode("utf-8")) - len(gap)
-        if group is None:
+        parts = _TOKEN.split(text[pos:] if pos else text)
+        words = parts[1::2]
+        offsets = list(accumulate(map(len, parts), initial=pos))[1::2]  # each word's start, then the text's end
+        found = [_KINDS.get(word) or _FIRST.get(word[0], "") for word in words]
+        if not elements and "" not in found:
+            if "#" in found:
+                keep = [kind != "#" for kind in found]
+                found, words, offsets = [*compress(found, keep)], [*compress(words, keep)], [*compress(offsets, keep), offsets[-1]]
+            kinds, texts, starts = found, words, offsets
             break
-        word = m.group(group)
-        pos = m.end()
-        if group == 3:
-            if not ascii_text and pos < len(text) and text[pos].isalnum():
-                _non_ascii_word(text, at, line, at - line_start + 1, at + shift)
-            kind = word if word in _KEYWORDS else "IDENT"
-        else:
-            kind = "NAT" if group == 2 else word
-        tokens.append(Token(kind, word, line, at - line_start + 1, at + shift, pos + shift))
-        if elements and (kind == "(" or kind == ")"):
-            match = (_TOKEN_IN_QUERY if kind == "(" else _TOKEN).match
-    column, byte = at - line_start + 1, at + shift
-    if at < len(text):
-        ch = text[at]
-        if ch.isalpha():
-            _non_ascii_word(text, at, line, column, byte)
-        raise DslSyntaxError(f"unexpected character {ch!r}", Span(line, column, byte, byte + len(ch.encode("utf-8"))))
-    tokens.append(Token("EOF", "", line, column, byte, byte))
-    return tokens
+        cut = None
+        for kind, word, at in zip(found, words, offsets):
+            if kind == "#":
+                if not inside:
+                    continue
+                if _FIRST.get(text[at + 1 : at + 2]) != "IDENT":
+                    raise _stray(text, at, None)
+                kind, cut = "IDENT", _TOKEN.match(text, at + 1).end()
+                word = text[at:cut]
+            elif not kind:
+                glued = kinds and (kinds[-1] == "IDENT" or kinds[-1] in _KEYWORDS) and starts[-1] + len(texts[-1]) == at
+                raise _stray(text, at, starts[-1] if glued else None)
+            kinds.append(kind)
+            texts.append(word)
+            starts.append(at)
+            if cut is not None:
+                break
+            if elements and (kind == "(" or kind == ")"):
+                inside = kind == "("
+        if cut is None:
+            starts.append(len(text))
+            break
+        pos = cut
+    kinds.append("EOF")
+    texts.append("")
+    breaks, byte = _positions(text)
+
+    def span(first: int, last: int) -> Span:
+        start = starts[first]
+        line = bisect_left(breaks, start)
+        return Span(line, start - breaks[line - 1], byte(start), byte(starts[last] + len(texts[last])))
+
+    return kinds, texts, span
 
 
-def _non_ascii_word(text: str, i: int, line: int, column: int, byte: int) -> NoReturn:
-    """Reject the word of letters, digits and underscores at text[i:]; it is not ASCII."""
-    j = i + 1
-    while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-        j += 1
-    word = text[i:j]
-    raise DslSyntaxError(
-        f"identifier {word!r} contains non-ASCII characters", Span(line, column, byte, byte + len(word.encode("utf-8")))
-    )
+def _positions(text: str) -> tuple[list[int], Callable[[int], int]]:
+    """-1 and text's newline offsets (offset i is on line `bisect_left(breaks, i)`), and a function from
+    character to byte offsets: tokens are ASCII, so only the non-ASCII runs of comments shift the count."""
+    breaks = [-1, *[m.start() for m in _NEWLINE.finditer(text)]]
+    if text.isascii():
+        return breaks, int  # the offset itself
+    ends, extra = [0], [0]  # each run's end, and the extra bytes up to it
+    for m in _NON_ASCII.finditer(text):
+        ends.append(m.end())
+        extra.append(extra[-1] + len(m[0].encode("utf-8")) - len(m[0]))
+    return breaks, lambda i: i + extra[bisect_right(ends, i) - 1]
+
+
+def _stray(text: str, i: int, word: int | None) -> DslSyntaxError:
+    """The error at text[i], where no token starts: a word with non-ASCII characters, rejected whole, if a letter
+    is there or a letter or digit continues the word that starts at `word`; else an unexpected character."""
+    ch = text[i]
+    start = word if word is not None and ch.isalnum() else i if ch.isalpha() else None
+    bad, message = ch, f"unexpected character {ch!r}"
+    if start is not None:
+        i, j = start, start + 1
+        while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            j += 1
+        bad = text[i:j]
+        message = f"identifier {bad!r} contains non-ASCII characters"
+    breaks, byte = _positions(text)
+    line = bisect_left(breaks, i)
+    return DslSyntaxError(message, Span(line, i - breaks[line - 1], byte(i), byte(i) + len(bad.encode("utf-8"))))
 
 
 # --- Parser ---------------------------------------------------------------------
@@ -244,8 +268,12 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Reads the lexer's lists; a token is its index, and `pos` never passes the final EOF."""
+
+    def __init__(self, kinds: list[str], texts: list[str], span: SpanFn):
+        self.kinds = kinds
+        self.texts = texts
+        self.span = span  # span(i, j): from token i's start to token j's end
         self.pos = 0
         self.labels: set[str] = set()
         self.vocab: Vocabulary | None = None
@@ -257,62 +285,61 @@ class _Parser:
 
     # token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        if ahead:
-            return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-        return self.tokens[self.pos]  # pos never passes the final EOF token
+    def advance(self) -> int:
+        i = self.pos
+        if self.kinds[i] != "EOF":
+            self.pos = i + 1
+        return i
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def at(self, kind: str) -> bool:
+        return self.kinds[self.pos] == kind
 
-    def at(self, *kinds: str) -> bool:
-        return self.tokens[self.pos].kind in kinds
-
-    def accept(self, kind: str) -> Token | None:
-        if self.at(kind):
-            return self.advance()
+    def accept(self, kind: str) -> int | None:
+        i = self.pos
+        if self.kinds[i] == kind:
+            self.pos = i + 1
+            return i
         return None
 
-    def expect(self, *kinds: str) -> Token:
-        if self.at(*kinds):
-            return self.advance()
-        tok = self.peek()
-        shown = tok.text if tok.kind != "EOF" else "end of input"
-        raise DslSyntaxError(f"expected {' or '.join(kinds)}, found {shown!r}", tok.span, expected=kinds)
+    def expect(self, *kinds: str) -> int:
+        i = self.pos
+        kind = self.kinds[i]
+        if kind in kinds:
+            if kind != "EOF":
+                self.pos = i + 1
+            return i
+        shown = self.texts[i] if kind != "EOF" else "end of input"
+        raise DslSyntaxError(f"expected {' or '.join(kinds)}, found {shown!r}", self.span(i, i), expected=kinds)
 
-    def ident(self, what: str = "identifier") -> Token:
-        if self.at("IDENT"):
-            return self.advance()
-        tok = self.peek()
-        raise DslSyntaxError(f"expected {what}, found {tok.text!r}", tok.span, expected=("IDENT",))
+    def ident(self, what: str = "identifier") -> int:
+        i = self.pos
+        if self.kinds[i] == "IDENT":
+            self.pos = i + 1
+            return i
+        raise DslSyntaxError(f"expected {what}, found {self.texts[i]!r}", self.span(i, i), expected=("IDENT",))
 
-    def nest(self, tok: Token) -> None:
-        """Enter one more level of guard or term nesting, opened by tok."""
+    def nest(self, i: int) -> None:
+        """Enter one more level of guard or term nesting, opened by token i."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise DslSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok.span)
+            raise DslSyntaxError(f"nesting deeper than {MAX_NESTING} levels", self.span(i, i))
 
-    def span_from(self, first: Token) -> Span:
+    def span_from(self, first: int) -> Span:
         """The span from token first to the last token consumed."""
-        end = self.tokens[self.pos - 1].end if self.pos else first.end
-        return Span(first.line, first.column, first.start, end)
+        return self.span(first, self.pos - 1 if self.pos else first)
 
     def nat(self) -> int:
-        tok = self.expect("NAT")
+        i = self.expect("NAT")
         try:
-            return int(tok.text)
+            return int(self.texts[i])
         except ValueError:  # more digits than int() converts
-            raise DslSyntaxError(f"numeral of {len(tok.text)} digits is too large", tok.span) from None
+            raise DslSyntaxError(f"numeral of {len(self.texts[i])} digits is too large", self.span(i, i)) from None
 
     # sections
 
     def parse_spec(self) -> AlgorithmSpec:
-        start = self.peek()
         self.expect("algorithm")
-        name = self.ident("algorithm name").text
+        name = self.texts[self.ident("algorithm name")]
         vocab = self.parse_vocabulary()
         self.vocab = vocab
         labels = self.parse_labels()
@@ -335,7 +362,7 @@ class _Parser:
             update_rules=tuple(update_rules),
             bounds=bounds,
             witness=tuple(witness),
-            span=self.span_from(start),
+            span=self.span_from(0),
         )
 
     def parse_vocabulary(self) -> Vocabulary:
@@ -344,19 +371,18 @@ class _Parser:
         decls: list[SymbolDecl] = []
         while not self.at("}"):
             flag = self.expect("static", "dynamic", "relational")
-            static = flag.kind == "static"
-            relational = flag.kind == "relational"
-            if self.accept("relational"):
-                relational = True
-            name_tok = self.ident("symbol name")
+            static = self.kinds[flag] == "static"
+            relational = self.accept("relational") is not None or self.kinds[flag] == "relational"
+            i = self.ident("symbol name")
+            name = self.texts[i]
             self.expect("/")
             arity = self.nat()
-            if name_tok.text in LOGIC_NAMES:
-                raise DslNameError(f"symbol {name_tok.text!r} is a reserved logic name", name_tok.span)
-            if name_tok.text in self.decl_spans:
-                raise DslNameError(f"symbol {name_tok.text!r} declared twice", name_tok.span)
-            self.decl_spans[name_tok.text] = self.span_from(flag)
-            decls.append(SymbolDecl(name_tok.text, arity, static=static, relational=relational))
+            if name in LOGIC_NAMES:
+                raise DslNameError(f"symbol {name!r} is a reserved logic name", self.span(i, i))
+            if name in self.decl_spans:
+                raise DslNameError(f"symbol {name!r} declared twice", self.span(i, i))
+            self.decl_spans[name] = self.span_from(flag)
+            decls.append(SymbolDecl(name, arity, static=static, relational=relational))
         self.expect("}")
         return Vocabulary.make(decls)
 
@@ -365,86 +391,85 @@ class _Parser:
         self.expect("{")
         labels: list[str] = []
         while not self.at("}"):
-            tok = self.ident("label")
-            if tok.text in labels:
-                raise DslNameError(f"label {tok.text!r} declared twice", tok.span)
-            if self.vocab is not None and tok.text in self.vocab:
-                raise DslNameError(f"label {tok.text!r} collides with a vocabulary symbol", tok.span)
-            labels.append(tok.text)
-            self.labels.add(tok.text)
+            i = self.ident("label")
+            label = self.texts[i]
+            if label in labels:
+                raise DslNameError(f"label {label!r} declared twice", self.span(i, i))
+            if self.vocab is not None and label in self.vocab:
+                raise DslNameError(f"label {label!r} collides with a vocabulary symbol", self.span(i, i))
+            labels.append(label)
+            self.labels.add(label)
         self.expect("}")
         return labels
 
     def parse_states(self) -> list[StateDef]:
         states: list[StateDef] = []
+        texts = self.texts
         if not self.at("state"):
             self.expect("state")
         while self.at("state"):
-            start = self.peek()
-            self.advance()
-            name_tok = self.ident("state name")
-            if any(s.name == name_tok.text for s in states):
-                raise DslNameError(f"state {name_tok.text!r} declared twice", name_tok.span)
+            start = self.advance()
+            i = self.ident("state name")
+            name = texts[i]
+            if any(s.name == name for s in states):
+                raise DslNameError(f"state {name!r} declared twice", self.span(i, i))
             self.expect("{")
             base_kw = self.expect("base")
             base: list[str] = []
             while self.at("IDENT"):
-                base.append(self.advance().text)
+                base.append(texts[self.advance()])
             if not base:
-                raise DslSyntaxError("base line lists no elements", base_kw.span, expected=("IDENT",))
+                raise DslSyntaxError("base line lists no elements", self.span(base_kw, base_kw), expected=("IDENT",))
             interp: dict[str, dict[tuple[str, ...], str]] = {}
             while self.at("interp"):
                 self.advance()
-                sym_tok = self.ident("symbol name")
-                if sym_tok.text not in self.vocab:
-                    raise DslNameError(f"unknown symbol {sym_tok.text!r}", sym_tok.span)
+                sym = self.ident("symbol name")
+                if texts[sym] not in self.vocab:
+                    raise DslNameError(f"unknown symbol {texts[sym]!r}", self.span(sym, sym))
                 self.expect("(")
                 args: list[str] = []
                 while self.at("IDENT"):
-                    args.append(self.advance().text)
+                    args.append(texts[self.advance()])
                 self.expect(")")
                 self.expect("=")
-                value_tok = self.ident("element")
-                decl = self.vocab.decl(sym_tok.text)
+                value = texts[self.ident("element")]
+                decl = self.vocab.decl(texts[sym])
                 if len(args) != decl.arity:
-                    raise DslArityError(
-                        f"{sym_tok.text!r} has arity {decl.arity}, entry lists {len(args)} arguments", sym_tok.span
-                    )
-                interp.setdefault(sym_tok.text, {})[tuple(args)] = value_tok.text
+                    raise DslArityError(f"{texts[sym]!r} has arity {decl.arity}, entry lists {len(args)} arguments", self.span(sym, sym))
+                interp.setdefault(texts[sym], {})[tuple(args)] = value
             self.expect("}")
             try:
                 structure = Structure.make(self.vocab, base, interp)
             except EngineError as exc:
-                raise DslNameError(f"state {name_tok.text!r}: {exc}", self.span_from(start)) from exc
-            states.append(StateDef(name_tok.text, structure, self.span_from(start)))
+                raise DslNameError(f"state {name!r}: {exc}", self.span_from(start)) from exc
+            states.append(StateDef(name, structure, self.span_from(start)))
         return states
 
     def parse_initial(self, state_names: set[str]) -> list[str]:
         self.expect("initial")
         names: list[str] = []
         while self.at("IDENT"):
-            tok = self.advance()
-            if tok.text not in state_names:
-                raise DslNameError(f"initial state {tok.text!r} is not declared", tok.span)
-            names.append(tok.text)
+            i = self.advance()
+            if self.texts[i] not in state_names:
+                raise DslNameError(f"initial state {self.texts[i]!r} is not declared", self.span(i, i))
+            names.append(self.texts[i])
         if not names:
-            tok = self.peek()
-            raise DslSyntaxError("initial line lists no states", tok.span, expected=("IDENT",))
+            raise DslSyntaxError("initial line lists no states", self.span(self.pos, self.pos), expected=("IDENT",))
         return names
 
     def parse_queries(self) -> list[QueryTemplate]:
         templates: list[QueryTemplate] = []
         while self.at("query"):
-            start = self.peek()
-            self.advance()
-            name_tok = self.ident("query template name")
-            if name_tok.text in self.template_names:
-                raise DslNameError(f"query template {name_tok.text!r} declared twice", name_tok.span)
-            self.template = name_tok.text
+            start = self.advance()
+            i = self.ident("query template name")
+            name = self.texts[i]
+            if name in self.template_names:
+                raise DslNameError(f"query template {name!r} declared twice", self.span(i, i))
+            self.template = name
             self.expect("=")
             parts = self.parse_qtuple(self.parse_component)
-            self.template_names.add(name_tok.text)
-            templates.append(QueryTemplate(name_tok.text, parts, self.span_from(start)))
+            self.template_names.add(name)
+            templates.append(QueryTemplate(name, parts, self.span_from(start)))
         return templates
 
     def parse_qtuple(self, component: Callable[[], Label | Term | Elem]) -> tuple[Label | Term | Elem, ...]:
@@ -454,60 +479,62 @@ class _Parser:
             parts.append(component())
         close = self.expect(")")
         if not parts:
-            raise DslSyntaxError("query tuple has no components", close.span, expected=("IDENT",))
+            raise DslSyntaxError("query tuple has no components", self.span(close, close), expected=("IDENT",))
         return tuple(parts)
 
     def parse_component(self) -> Label | Term:
-        tok = self.peek()
-        if tok.kind == "IDENT" and self.peek(1).kind != "(":
-            if tok.text in self.labels:
-                self.advance()
-                return Label(tok.text)
-            # fall through: bare nullary symbol
-        return self.parse_term()
+        i = self.pos
+        # an IDENT is never the final token, so i + 1 is in range
+        if self.kinds[i] == "IDENT" and self.kinds[i + 1] != "(" and self.texts[i] in self.labels:
+            self.pos = i + 1
+            return Label(self.texts[i])
+        return self.parse_term()  # a bare IDENT that is no label is a nullary symbol
 
     def parse_term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "reply":
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "reply":
             if self.in_witness:
-                raise DslSyntaxError("witness terms take no 'reply'; use a $variable", tok.span)
-            self.advance()
+                raise DslSyntaxError("witness terms take no 'reply'; use a $variable", self.span(i, i))
+            self.pos = i + 1
             self.expect("(")
             qname = self._template_ref()
             self.expect(")")
             return ReplyVar(qname)
-        if tok.kind == "$":
-            self.advance()
-            name = self.ident("variable name").text
+        if kind == "$":
+            self.pos = i + 1
+            name = self.texts[self.ident("variable name")]
             if not self.in_witness:
-                raise DslSyntaxError(f"variable ${name} may appear only in witness terms", self.span_from(tok))
+                raise DslSyntaxError(f"variable ${name} may appear only in witness terms", self.span_from(i))
             return Var(name)
-        if tok.kind != "IDENT":
-            raise DslSyntaxError(f"expected a term, found {tok.text!r}", tok.span, expected=("IDENT", "reply", "$"))
-        self.advance()
-        if tok.text not in self.vocab:
-            raise DslNameError(f"unknown symbol {tok.text!r}", tok.span)
-        decl = self.vocab.decl(tok.text)
+        if kind != "IDENT":
+            raise DslSyntaxError(f"expected a term, found {self.texts[i]!r}", self.span(i, i), expected=("IDENT", "reply", "$"))
+        self.pos = i + 1
+        symbol = self.texts[i]
+        if symbol not in self.vocab:
+            raise DslNameError(f"unknown symbol {symbol!r}", self.span(i, i))
+        decl = self.vocab.decl(symbol)
         args: list[Term] = []
-        open_tok = self.accept("(")
-        if open_tok:
-            self.nest(open_tok)
+        if self.kinds[i + 1] == "(":
+            self.pos = i + 2
+            self.nest(i + 1)
             if not self.at(")"):
                 args.append(self.parse_term())
-                while self.accept(","):
+                while self.accept(",") is not None:
                     args.append(self.parse_term())
             self.expect(")")
             self.depth -= 1
         if len(args) != decl.arity:
-            raise DslArityError(f"{tok.text!r} has arity {decl.arity}, applied to {len(args)} arguments", tok.span)
-        return App(tok.text, tuple(args))
+            raise DslArityError(f"{symbol!r} has arity {decl.arity}, applied to {len(args)} arguments", self.span(i, i))
+        return App(symbol, tuple(args))
 
     def _template_ref(self) -> str:
-        tok = self.ident("query template name")
-        if tok.text not in self.template_names:
-            what = "reads its own reply" if tok.text == self.template else "is not declared"
-            raise DslNameError(f"query template {tok.text!r} {what}", tok.span)
-        return tok.text
+        i = self.ident("query template name")
+        name = self.texts[i]
+        if name not in self.template_names:
+            what = "reads its own reply" if name == self.template else "is not declared"
+            raise DslNameError(f"query template {name!r} {what}", self.span(i, i))
+        return name
 
     # guards
 
@@ -532,23 +559,23 @@ class _Parser:
         `not` or a parenthesis: no guard tree is deeper than the parser allows.
         """
         left, height = operand()
-        while tok := self.accept(word):
+        while (i := self.accept(word)) is not None:
             right, right_height = operand()
             left, height = node(left, right), max(height, right_height) + 1
             if self.depth + height > MAX_NESTING:
-                raise DslSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok.span)
+                raise DslSyntaxError(f"nesting deeper than {MAX_NESTING} levels", self.span(i, i))
         return left, height
 
     def _parse_not(self) -> tuple[Guard, int]:
-        tok = self.accept("not")
-        if tok is not None:
-            self.nest(tok)
+        i = self.accept("not")
+        if i is not None:
+            self.nest(i)
             inner, height = self._parse_not()
             self.depth -= 1
             return Not(inner), height + 1
-        tok = self.accept("(")
-        if tok is not None:
-            self.nest(tok)
+        i = self.accept("(")
+        if i is not None:
+            self.nest(i)
             inner, height = self._parse_or()
             self.expect(")")
             self.depth -= 1
@@ -556,38 +583,39 @@ class _Parser:
         return self._parse_atom(), 0
 
     def _parse_atom(self) -> Guard:
-        tok = self.peek()
-        if tok.kind == "start":
-            self.advance()
-            return Start(span=tok.span)
-        if tok.kind in ("answered", "unanswered"):
-            self.advance()
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "start":
+            self.pos = i + 1
+            return Start(span=self.span(i, i))
+        if kind == "answered" or kind == "unanswered":
+            self.pos = i + 1
             self.expect("(")
             qname = self._template_ref()
-            close = self.expect(")")
-            node = Answered if tok.kind == "answered" else Unanswered
-            return node(qname, span=Span(tok.line, tok.column, tok.start, close.end))
-        if tok.kind in ("before", "simultaneous"):
-            self.advance()
+            self.expect(")")
+            node = Answered if kind == "answered" else Unanswered
+            return node(qname, span=self.span_from(i))
+        if kind == "before" or kind == "simultaneous":
+            self.pos = i + 1
             self.expect("(")
             first = self._template_ref()
             self.expect(",")
             second = self._template_ref()
-            close = self.expect(")")
-            node = Before if tok.kind == "before" else Simultaneous
-            return node(first, second, span=Span(tok.line, tok.column, tok.start, close.end))
-        if tok.kind == "reply":
-            self.advance()
+            self.expect(")")
+            node = Before if kind == "before" else Simultaneous
+            return node(first, second, span=self.span_from(i))
+        if kind == "reply":
+            self.pos = i + 1
             self.expect("(")
             qname = self._template_ref()
             self.expect(")")
             self.expect("=")
             term = self.parse_term()
-            return ReplyEq(qname, term, span=self.span_from(tok))
+            return ReplyEq(qname, term, span=self.span_from(i))
         left = self.parse_term()
         self.expect("=")
         right = self.parse_term()
-        return TermEq(left, right, span=self.span_from(tok))
+        return TermEq(left, right, span=self.span_from(i))
 
     # rules
 
@@ -596,69 +624,62 @@ class _Parser:
         final_rules: list[FinalRule] = []
         update_rules: list[UpdateRule] = []
         names: set[str] = set()
-        while self.at("issue", "final", "update"):
+        texts = self.texts
+        while (kind := self.kinds[self.pos]) in ("issue", "final", "update"):
             kw = self.advance()
-            name_tok = self.ident("rule name")
-            name = name_tok.text
+            i = self.ident("rule name")
+            name = texts[i]
             if name in names:
-                raise DslNameError(f"rule name {name!r} used twice", name_tok.span)
+                raise DslNameError(f"rule name {name!r} used twice", self.span(i, i))
             names.add(name)
             self.expect(":")
             self.expect("when")
             guard = self.parse_guard()
-            if kw.kind == "issue":
+            if kind == "issue":
                 self.expect("emit")
                 parts = self.parse_qtuple(self.parse_component)
                 issue_rules.append(IssueRule(name, guard, QueryTemplate(None, parts), self.span_from(kw)))
-            elif kw.kind == "final":
+            elif kind == "final":
                 out = self.expect("succeed", "fail")
-                final_rules.append(FinalRule(name, guard, out.kind, self.span_from(kw)))
+                final_rules.append(FinalRule(name, guard, self.kinds[out], self.span_from(kw)))
             else:
-                sym_tok = self.ident("dynamic symbol")
-                if sym_tok.text not in self.vocab:
-                    raise DslNameError(f"unknown symbol {sym_tok.text!r}", sym_tok.span)
-                decl = self.vocab.decl(sym_tok.text)
+                sym = self.ident("dynamic symbol")
+                symbol = texts[sym]
+                if symbol not in self.vocab:
+                    raise DslNameError(f"unknown symbol {symbol!r}", self.span(sym, sym))
+                decl = self.vocab.decl(symbol)
                 if decl.static:
-                    raise DslNameError(f"rule {name!r} updates static symbol {sym_tok.text!r}", sym_tok.span)
+                    raise DslNameError(f"rule {name!r} updates static symbol {symbol!r}", self.span(sym, sym))
                 self.expect("(")
                 args: list[Term] = []
                 if not self.at(")"):
                     args.append(self.parse_term())
-                    while self.accept(","):
+                    while self.accept(",") is not None:
                         args.append(self.parse_term())
                 self.expect(")")
                 if len(args) != decl.arity:
-                    raise DslArityError(
-                        f"{sym_tok.text!r} has arity {decl.arity}, location lists {len(args)} arguments",
-                        sym_tok.span,
-                    )
+                    raise DslArityError(f"{symbol!r} has arity {decl.arity}, location lists {len(args)} arguments", self.span(sym, sym))
                 self.expect(":=")
                 value = self.parse_term()
-                update_rules.append(
-                    UpdateRule(name, guard, sym_tok.text, tuple(args), value, self.span_from(kw))
-                )
+                update_rules.append(UpdateRule(name, guard, symbol, tuple(args), value, self.span_from(kw)))
         return issue_rules, final_rules, update_rules
 
     def parse_bounds(self) -> Bounds:
-        start = self.peek()
-        self.expect("bounds")
+        start = self.expect("bounds")
         self.expect("{")
-        key1 = self.ident("max_query_len")
-        if key1.text != "max_query_len":
-            raise DslSyntaxError("expected 'max_query_len'", key1.span, expected=("max_query_len",))
-        max_query_len = self.bound(key1)
-        key2 = self.ident("max_issued")
-        if key2.text != "max_issued":
-            raise DslSyntaxError("expected 'max_issued'", key2.span, expected=("max_issued",))
-        max_issued = self.bound(key2)
+        max_query_len = self.bound("max_query_len")
+        max_issued = self.bound("max_issued")
         self.expect("}")
         return Bounds(max_query_len, max_issued, self.span_from(start))
 
-    def bound(self, key: Token) -> int:
-        tok = self.peek()
+    def bound(self, key: str) -> int:
+        """`key NAT`, the NAT at least 1."""
+        i = self.ident(key)
+        if self.texts[i] != key:
+            raise DslSyntaxError(f"expected {key!r}", self.span(i, i), expected=(key,))
         value = self.nat()
         if value < 1:
-            raise DslSyntaxError(f"{key.text} must be at least 1, found {tok.text}", tok.span)
+            raise DslSyntaxError(f"{key} must be at least 1, found {self.texts[i + 1]}", self.span(i + 1, i + 1))
         return value
 
     def parse_witness(self) -> list[WitnessDecl]:
@@ -667,7 +688,7 @@ class _Parser:
         terms: list[WitnessDecl] = []
 
         def entry() -> None:
-            start = self.peek()
+            start = self.pos
             terms.append(WitnessDecl(self.parse_term(), self.span_from(start)))
 
         self.braced(entry)
@@ -675,19 +696,20 @@ class _Parser:
 
     # query and history literals, scripts, iso files
 
-    def word(self, what: str) -> Token:
+    def word(self, what: str) -> int:
         """A name in a literal, script or iso file; keywords are names there too."""
-        tok = self.peek()
-        if tok.kind == "IDENT" or tok.kind in _KEYWORDS:
-            return self.advance()
-        raise DslSyntaxError(f"expected {what}, found {tok.text!r}", tok.span, expected=("IDENT",))
+        i = self.pos
+        if self.kinds[i] == "IDENT" or self.kinds[i] in _KEYWORDS:
+            self.pos = i + 1
+            return i
+        raise DslSyntaxError(f"expected {what}, found {self.texts[i]!r}", self.span(i, i), expected=("IDENT",))
 
-    def braced(self, entry: Callable[[], object]) -> Token:
+    def braced(self, entry: Callable[[], object]) -> int:
         """`{ [entry (";" entry)*] }`; returns the closing brace."""
         self.expect("{")
         if not self.at("}"):
             entry()
-            while self.accept(";"):
+            while self.accept(";") is not None:
                 entry()
         return self.expect("}")
 
@@ -695,15 +717,15 @@ class _Parser:
         return Query(self.parse_qtuple(self.literal_component))
 
     def literal_component(self) -> Label | Elem:
-        text = self.word("label or #element").text
+        text = self.texts[self.word("label or #element")]
         return Elem(text[1:]) if text[0] == "#" else Label(text)
 
     def parse_answer(self, answers: dict[Query, str]) -> Query:
         """One `(q) -> reply` entry, added to answers, which must not answer q yet."""
-        start = self.peek()
+        start = self.pos
         q = self.parse_query_literal()
         self.expect("->")
-        reply = self.word("reply").text
+        reply = self.texts[self.word("reply")]
         if q in answers:
             raise DslSyntaxError(f"{format_query(q)} is answered twice", self.span_from(start))
         answers[q] = reply
@@ -724,60 +746,60 @@ class _Parser:
     def parse_script(self) -> list[dict[Query, str] | None]:
         items: list[dict[Query, str] | None] = []
         while not self.at("EOF"):
-            tok = self.advance()
-            if tok.text == "stall":
+            i = self.advance()
+            if self.texts[i] == "stall":
                 items.append(None)
-            elif tok.text == "phase":
+            elif self.texts[i] == "phase":
                 batch: dict[Query, str] = {}
                 close = self.braced(lambda: self.parse_answer(batch))
                 if not batch:
-                    raise DslSyntaxError("phase block answers no queries", close.span)
+                    raise DslSyntaxError("phase block answers no queries", self.span(close, close))
                 items.append(batch)
             else:
-                raise DslSyntaxError(f"expected 'phase' or 'stall', found {tok.text!r}", tok.span)
+                raise DslSyntaxError(f"expected 'phase' or 'stall', found {self.texts[i]!r}", self.span(i, i))
         return items
 
     def parse_iso(self, spec: AlgorithmSpec) -> list[tuple[dict[str, str], str, str]]:
         isos: list[tuple[dict[str, str], str, str]] = []
         while not self.at("EOF"):
-            tok = self.advance()
-            if tok.text != "iso":
-                raise DslSyntaxError(f"expected 'iso', found {tok.text!r}", tok.span)
+            i = self.advance()
+            if self.texts[i] != "iso":
+                raise DslSyntaxError(f"expected 'iso', found {self.texts[i]!r}", self.span(i, i))
             name_a, name_b = self.state_ref(spec), self.state_ref(spec)
             mapping: dict[str, str] = {}
 
             def entry() -> None:
                 source = self.element(spec, name_a)
-                if source.text in mapping:
-                    raise DslSyntaxError(f"element {source.text!r} is mapped twice", source.span)
+                if self.texts[source] in mapping:
+                    raise DslSyntaxError(f"element {self.texts[source]!r} is mapped twice", self.span(source, source))
                 self.expect("->")
-                mapping[source.text] = self.element(spec, name_b).text
+                mapping[self.texts[source]] = self.texts[self.element(spec, name_b)]
 
             self.braced(entry)
             isos.append((mapping, name_a, name_b))
         return isos
 
     def state_ref(self, spec: AlgorithmSpec) -> str:
-        tok = self.ident("state name")
-        if tok.text not in spec.state_names:
-            raise DslNameError(f"state {tok.text!r} is not declared", tok.span)
-        return tok.text
+        i = self.ident("state name")
+        if self.texts[i] not in spec.state_names:
+            raise DslNameError(f"state {self.texts[i]!r} is not declared", self.span(i, i))
+        return self.texts[i]
 
-    def element(self, spec: AlgorithmSpec, state: str) -> Token:
-        tok = self.word("element")
-        if tok.text not in spec.state(state).elements:
-            raise DslNameError(f"{tok.text!r} is not an element of state {state!r}", tok.span)
-        return tok
+    def element(self, spec: AlgorithmSpec, state: str) -> int:
+        i = self.word("element")
+        if self.texts[i] not in spec.state(state).elements:
+            raise DslNameError(f"{self.texts[i]!r} is not an element of state {state!r}", self.span(i, i))
+        return i
 
 
 def parse_spec(text: str) -> AlgorithmSpec:
     """Parse a machine description; raises Dsl*Error with a source span."""
-    return _Parser(tokenize(text)).parse_spec()
+    return _Parser(*_lex(text)).parse_spec()
 
 
 def _parse_text(text: str, production: Callable[[_Parser], T]) -> T:
     """Parse the whole of a text that may hold query literals with one production."""
-    parser = _Parser(tokenize(text, elements=True))
+    parser = _Parser(*_lex(text, elements=True))
     out = production(parser)
     parser.expect("EOF")
     return out

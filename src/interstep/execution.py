@@ -171,7 +171,7 @@ def _execute(spec: AlgorithmSpec, x: Structure, env: Environment, max_phases: in
     while True:
         issued = ev.open_issued(xi, before)
         if issued is None:
-            v = compute_verdict(spec, x, xi)
+            v = compute_verdict(spec, x, xi, final=True)
             if v.is_success:
                 return trace(Outcome("success"), delta=v.updates, nxt=apply_updates(x, v.updates))
             return trace(Outcome("fail", v.reason))

@@ -711,14 +711,16 @@ def explicitly_final(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
     return spec.evaluator(x).explicitly_final(xi)
 
 
-def verdict(spec: AlgorithmSpec, x: Structure, xi: History) -> Verdict:
+def verdict(spec: AlgorithmSpec, x: Structure, xi: History, *, final: bool = False) -> Verdict:
     """Classify a history as not final, final-success, or final-fail.
 
     Final iff a final rule fires or the history is complete.  At a final
     history, any firing fail rule or a clash in the update set forces the
-    fail verdict; success and fail are exclusive by construction.
+    fail verdict; success and fail are exclusive by construction.  With
+    `final`, the caller has found xi final, and finality is not read again.
     """
-    return spec.evaluator(x).verdict(xi)
+    ev = spec.evaluator(x)
+    return ev.classify(xi) if final else ev.verdict(xi)
 
 
 def is_attainable(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
@@ -732,6 +734,11 @@ def is_attainable(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
 def update_set(spec: AlgorithmSpec, x: Structure, xi: History) -> frozenset[Update]:
     """Updates of every fired update rule; trivial updates are retained."""
     return spec.evaluator(x).update_set(xi)
+
+
+def verdict_updates(spec: AlgorithmSpec, x: Structure, xi: History, v: Verdict) -> frozenset[Update]:
+    """xi's update set at x, taken from its verdict v where v carries it (a success or a clash)."""
+    return v.updates if v.updates is not None else update_set(spec, x, xi)
 
 
 def next_state(spec: AlgorithmSpec, x: Structure, xi: History) -> Structure:
@@ -817,7 +824,7 @@ def check_witness(spec: AlgorithmSpec, x: Structure, x2: Structure, xi: History,
     va, vb = va or verdict(spec, x, xi), verdict(spec, x2, xi)
     if va.kind != vb.kind:
         issues.append(WitnessIssue("finality-mismatch", f"verdicts differ: {va.kind} vs {vb.kind}"))
-    ua, ub = update_set(spec, x, xi), update_set(spec, x2, xi)
+    ua, ub = verdict_updates(spec, x, xi, va), verdict_updates(spec, x2, xi, vb)
     if ua != ub:
         issues.append(WitnessIssue("updates-mismatch", f"update sets differ at {len(ua ^ ub)} updates"))
     return issues

@@ -68,7 +68,7 @@ from interstep.analysis import (
     query_universe,
     weak_equivalent,
 )
-from interstep.dsl import _KEYWORDS, DslSyntaxError, Token, _Parser
+from interstep.dsl import _KEYWORDS, DslSyntaxError, _Parser
 from interstep.execution import Batch, Stall
 from interstep.history import (
     AnswerFunction,
@@ -538,8 +538,13 @@ def reference_tokenize(text: str) -> list[ReferenceToken]:
 
 def reference_parse_spec(text: str) -> AlgorithmSpec:
     """parse_spec on the reference lexer's tokens."""
-    tokens = [Token(t.kind, t.text, t.span.line, t.span.column, t.span.start, t.span.end) for t in reference_tokenize(text)]
-    return _Parser(tokens).parse_spec()
+    tokens = reference_tokenize(text)
+
+    def span(first: int, last: int) -> Span:
+        start = tokens[first].span
+        return Span(start.line, start.column, start.start, tokens[last].span.end)
+
+    return _Parser([t.kind for t in tokens], [t.text for t in tokens], span).parse_spec()
 
 
 # --- Dense structures -------------------------------------------------------------

@@ -289,6 +289,16 @@ class TestCheckPostulates:
         report = check_postulates(broker_sym, FULL, isos)
         assert report.passed, format_postulate_report(report)
 
+    def test_each_update_set_is_built_once(self, broker_sym, monkeypatch):
+        # the isomorphism and witness sections read the update sets that the verdicts carry
+        built: list = []
+        original = model.Evaluator.update_set
+        monkeypatch.setattr(model.Evaluator, "update_set", lambda ev, xi: built.append((ev.x, xi)) or original(ev, xi))
+        isos = parse_iso((SPECS / "swap.iso").read_text(), broker_sym)
+        report = check_postulates(broker_sym, SMALL, isos)
+        assert report.passed, format_postulate_report(report)
+        assert built and len(built) == len(set(built))
+
     def test_broken_isomorphism_is_reported(self, broker_sym):
         report = check_postulates(broker_sym, SMALL, [({"client0": "client0"}, "X0", "Y0")])
         assert not report.section("isomorphism").passed

@@ -2,23 +2,35 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import importlib.util
+import random
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import SPECS
+from conftest import ROOT, SPECS
+from interstep import dsl
 from interstep.dsl import (
     MAX_NESTING,
     DslArityError,
+    DslError,
     DslNameError,
     DslSyntaxError,
     format_guard,
     parse_spec,
     print_spec,
+    tokenize,
     validate_spec,
 )
 from interstep.model import And, Not, Or, ReplyEq, Start, TermEq
 from interstep.structure import App
+from oracle import reference_parse_spec
+
+_specgen_module = importlib.util.spec_from_file_location("specgen", ROOT / "perfbench" / "specgen.py")
+specgen = importlib.util.module_from_spec(_specgen_module)
+_specgen_module.loader.exec_module(specgen)
 
 MINIMAL = """
 algorithm idle
@@ -367,3 +379,73 @@ class TestValidate:
         spec = dataclasses.replace(broker, bounds=dataclasses.replace(broker.bounds, max_issued=0))
         for d in validate_spec(spec):
             assert d.span is not None
+
+
+# --- The front end reads token lists ------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["broker.isa", "broker_preferred.isa", "broker_sym.isa", "broker_4"])
+def test_parse_spec_builds_no_token(name, monkeypatch):
+    text = specgen.broker_text(4) if name == "broker_4" else (SPECS / name).read_text()
+
+    def refuse(*args):
+        raise AssertionError("a Token was built")
+
+    monkeypatch.setattr(dsl.Token, "__init__", refuse)
+    parse_spec(text)
+    with pytest.raises(AssertionError, match="a Token was built"):
+        tokenize(text)
+
+
+def node_spans(node, path: str = "spec"):
+    """(path, span) of every node of a parsed spec, in field order."""
+    if dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            value = getattr(node, f.name)
+            yield from [(path, value)] if f.name == "span" else node_spans(value, f"{path}.{f.name}")
+    elif isinstance(node, tuple):
+        for k, item in enumerate(node):
+            yield from node_spans(item, f"{path}[{k}]")
+
+
+def outcome(parser, text: str):
+    try:
+        spec = parser(text)
+    except DslError as exc:
+        return ("error", type(exc), exc.message, exc.span)
+    return spec, list(node_spans(spec))
+
+
+# what may end a line: blanks and comments with multi-byte characters, then `\n` or `\r\n`
+LINE_ENDS = st.tuples(
+    st.sampled_from(["", " ", "\t", "\t \t"]),
+    st.sampled_from(["", "# café ✓", "#ünïcödé 🙂 \t", "#", "# 2 ≥ 1, ¬p"]),
+    st.sampled_from(["\n", "\r\n"]),
+).map("".join)
+
+
+@st.composite
+def decorated_specs(draw) -> str:
+    """A disguised broker_2..4 with blanks, multi-byte comments and CRLF at random line ends."""
+    n, seed = draw(st.integers(2, 4)), draw(st.integers(0, 2**16))
+    lines = specgen.disguise(specgen.broker_text(n), random.Random(seed), "decorated").split("\n")
+    return "".join(line + draw(LINE_ENDS) for line in lines[:-1]) + lines[-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(decorated_specs())
+def test_decorated_specs_parse_as_with_the_reference(text):
+    found = outcome(parse_spec, text)
+    assert found[0] != "error"
+    assert found == outcome(reference_parse_spec, text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(decorated_specs(), st.randoms(use_true_random=False))
+def test_corrupted_specs_fail_as_with_the_reference(text, rng):
+    # one character replaced, anywhere, by one that starts no token or by one that changes the tokens
+    i = rng.randrange(len(text))
+    text = text[:i] + rng.choice(["%!é✓ö\x0b", "{}()=;:,/@$#-_x0 \n"][rng.randrange(2)]) + text[i + 1 :]
+    expected = outcome(reference_parse_spec, text)
+    assume(expected[0] == "error")
+    assert outcome(parse_spec, text) == expected

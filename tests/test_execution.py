@@ -18,7 +18,7 @@ from interstep.execution import (
     step,
 )
 from interstep.history import EMPTY_HISTORY, append_class
-from interstep.model import is_attainable, is_coherent, verdict, causes
+from interstep.model import Evaluator, is_attainable, is_coherent, verdict, causes
 from interstep.structure import update
 from oracle import format_script
 
@@ -224,6 +224,17 @@ class TestScriptFormat:
     def test_fixture_scripts_parse(self):
         for path in sorted(SCRIPTS.glob("*.env")):
             parse_script(path.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCRIPTS.glob("*.env")))
+def test_step_reads_the_final_guards_once_per_visited_history(broker, broker_state, name, monkeypatch):
+    read: list = []
+    original = Evaluator.explicitly_final
+    monkeypatch.setattr(Evaluator, "explicitly_final", lambda ev, xi: read.append(xi) or original(ev, xi))
+    tr = step(broker, broker_state, script_env(name))
+    # the empty history, one history after each phase, and nothing twice
+    assert len(read) == len(set(read)) == len(tr.phases) + 1
+    assert read[0] == EMPTY_HISTORY and read[-1] == tr.final_history
 
 
 class TestInteractive:
