@@ -83,7 +83,6 @@ from .model import (
     history_valid_for,
     is_coherent,
     verdict,
-    verdict_updates,
 )
 from .structure import Structure, eval_term, term_variables
 
@@ -121,11 +120,9 @@ class EnumerationResult:
     truncated: bool
 
 
-def enumerate_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig, visit: Callable | None = None) -> EnumerationResult:
-    """All attainable histories within the bounds: the walk of one evaluator's tree.  `visit(xi, before)`, if
-    given, sees each history in walk order with its parent's issued set (empty at the root)."""
-    see = (lambda xi, befores, opens: visit(xi, befores[0])) if visit else (lambda *node: None)
-    found, truncated = _walk((spec.evaluator(x),), cfg.pool_for(x), cfg, see)
+def enumerate_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> EnumerationResult:
+    """All attainable histories within the bounds: the walk of one evaluator's tree, as a set."""
+    found, truncated = _walk((spec.evaluator(x),), cfg.pool_for(x), cfg, lambda *node: None)
     return EnumerationResult(frozenset(found), truncated)
 
 
@@ -308,7 +305,8 @@ def check_postulates(
                 iso_section.append(
                     f"{name_a} -> {name_b}: verdict {va.kind} became {vb.kind} at {format_history(xi)}"
                 )
-            if apply_isomorphism(iso, verdict_updates(spec, xa, xi, va)) != verdict_updates(spec, xb, moved, vb):
+            # only a successful final has an update set, and its verdict carries it
+            elif va.is_success and apply_isomorphism(iso, va.updates) != vb.updates:
                 iso_section.append(f"{name_a} -> {name_b}: updates not preserved at {format_history(xi)}")
 
     # distinct states only: a state always agrees with itself

@@ -109,9 +109,9 @@ def _build_parser() -> _Parser:
 
 
 def _read(path: Path) -> str:
-    """A spec, script or iso file's text; a file that is missing or not UTF-8 is a usage error."""
+    """A spec, script or iso file's text, without a UTF-8 byte-order mark; a file that is missing or not UTF-8 is a usage error."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
@@ -201,19 +201,15 @@ def _cmd_run(args, out) -> int:
 def _cmd_enumerate(args, out) -> int:
     spec = _load_spec(args.spec)
     x = _pick_state(spec, args.state)
-    order: list = []
-    res = analysis.enumerate_attainable(spec, x, _config(args), lambda xi, before: order.append(xi))
+    res = analysis.enumerate_attainable(spec, x, _config(args))
     truncated = res.truncated
     keys = sorted(map(history_sort_key, res.histories))
     # The listing needs only the keys, each ending in its history's text, so the
-    # histories go before it is printed: by level, shortest first (a list frees
-    # its items from its end), the first level in walk order from a third of the
-    # way in.  CPython's free lists keep the first tuples and dicts freed and hand
-    # them out next; in hash order those lay at the walk's start or peak by chance.
-    ones = [xi for xi in order if xi.length == 1]
-    k = len(ones) // 3
-    made = sorted((xi for xi in res.histories if xi.length > 1), key=lambda xi: -xi.length) + (ones[k:] + ones[:k])[::-1]
-    del order, ones, res, x, spec, made
+    # histories go before it is printed: by level, shortest first (a list frees its
+    # items from its end), not in the result's hash order, after which resident
+    # memory varied by a whole allocator arena from one run to the next.
+    made = sorted(res.histories, key=lambda xi: -xi.length)
+    del res, x, spec, made
     if args.format == "machine":
         out.write(f"count={len(keys)}\n")
         out.write(f"truncated={'true' if truncated else 'false'}\n")

@@ -477,12 +477,6 @@ class Evaluator:
         out = self.issued(xi, before)
         return out if out.difference(xi.answers) else None
 
-    def is_final(self, xi: History) -> bool:
-        return self.open_issued(xi) is None
-
-    def verdict(self, xi: History) -> Verdict:
-        return NOT_FINAL if self.open_issued(xi) is not None else self.classify(xi)
-
     def classify(self, xi: History) -> Verdict:
         """The success or fail verdict of a history known to be final, with the update set it built."""
         for rule in self.final_rules:
@@ -706,11 +700,6 @@ def is_complete(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
     return not pending(spec, x, xi)
 
 
-def explicitly_final(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
-    """Some final rule's guard holds."""
-    return spec.evaluator(x).explicitly_final(xi)
-
-
 def verdict(spec: AlgorithmSpec, x: Structure, xi: History, *, final: bool = False) -> Verdict:
     """Classify a history as not final, final-success, or final-fail.
 
@@ -720,7 +709,7 @@ def verdict(spec: AlgorithmSpec, x: Structure, xi: History, *, final: bool = Fal
     `final`, the caller has found xi final, and finality is not read again.
     """
     ev = spec.evaluator(x)
-    return ev.classify(xi) if final else ev.verdict(xi)
+    return ev.classify(xi) if final or ev.open_issued(xi) is None else NOT_FINAL
 
 
 def is_attainable(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
@@ -728,17 +717,12 @@ def is_attainable(spec: AlgorithmSpec, x: Structure, xi: History) -> bool:
     if not is_coherent(spec, x, xi):
         return False
     ev = spec.evaluator(x)
-    return not any(ev.is_final(eta) for eta in initial_segments(xi)[:-1])
+    return all(ev.open_issued(eta) is not None for eta in initial_segments(xi)[:-1])
 
 
 def update_set(spec: AlgorithmSpec, x: Structure, xi: History) -> frozenset[Update]:
     """Updates of every fired update rule; trivial updates are retained."""
     return spec.evaluator(x).update_set(xi)
-
-
-def verdict_updates(spec: AlgorithmSpec, x: Structure, xi: History, v: Verdict) -> frozenset[Update]:
-    """xi's update set at x, taken from its verdict v where v carries it (a success or a clash)."""
-    return v.updates if v.updates is not None else update_set(spec, x, xi)
 
 
 def next_state(spec: AlgorithmSpec, x: Structure, xi: History) -> Structure:
@@ -824,7 +808,7 @@ def check_witness(spec: AlgorithmSpec, x: Structure, x2: Structure, xi: History,
     va, vb = va or verdict(spec, x, xi), verdict(spec, x2, xi)
     if va.kind != vb.kind:
         issues.append(WitnessIssue("finality-mismatch", f"verdicts differ: {va.kind} vs {vb.kind}"))
-    ua, ub = verdict_updates(spec, x, xi, va), verdict_updates(spec, x2, xi, vb)
-    if ua != ub:
-        issues.append(WitnessIssue("updates-mismatch", f"update sets differ at {len(ua ^ ub)} updates"))
+    # only a successful final has an update set, and its verdict carries it
+    elif va.is_success and va.updates != vb.updates:
+        issues.append(WitnessIssue("updates-mismatch", f"update sets differ at {len(va.updates ^ vb.updates)} updates"))
     return issues

@@ -50,6 +50,19 @@ def broker_with_confirm(confirm: str):
     return parse_spec(text)
 
 
+def broker_sym_with_peek() -> str:
+    """broker_sym.isa plus an update rule that reads the reply to (choose) after a lone no to offer0.
+
+    The rule fires only at histories that are not final, where no reply to
+    (choose) exists: only a successful final history has an update set, so it
+    is never built there.
+    """
+    text = (SPECS / "broker_sym.isa").read_text()
+    assert text.count("\nupdate sell0:") == 1
+    peek = "update peek: when reply(offer0) = no() and unanswered(offer1) and unanswered(timeout) owner() := reply(choose)"
+    return text.replace("\nupdate sell0:", f"\n{peek}\nupdate sell0:")
+
+
 @pytest.fixture(scope="session")
 def broker():
     return parse_spec((SPECS / "broker.isa").read_text())

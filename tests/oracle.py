@@ -105,7 +105,6 @@ from interstep.model import (
     TermEq,
     Unanswered,
     Verdict,
-    explicitly_final,
     pending,
     verdict,
 )
@@ -237,7 +236,7 @@ def brute_force_step_a(spec: AlgorithmSpec, cfg: EnumerationConfig, strict: bool
                 continue
             segs = initial_segments(xi)
             if strict:
-                ok = any(explicitly_final(spec, x, eta) for eta in segs)
+                ok = any(spec.evaluator(x).explicitly_final(eta) for eta in segs)
             else:
                 ok = any(verdict(spec, x, eta).is_final for eta in segs)
             if not ok:

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from conftest import BROKER_POOL, ROOT, SPECS, h, lq
+from conftest import BROKER_POOL, ROOT, SPECS, broker_sym_with_peek, h, lq
 from interstep import analysis, execution, model
 from interstep.analysis import (
     AnalysisError,
@@ -112,15 +112,6 @@ class TestEnumerate:
             for eta in initial_segments(xi):
                 assert eta in res.histories
 
-    def test_visit_sees_each_history_in_walk_order_with_its_parents_issued_set(self, broker, broker_state):
-        seen = []
-        res = enumerate_attainable(broker, broker_state, SMALL, lambda xi, before: seen.append((xi, before)))
-        assert len(seen) == len(res.histories) and {xi for xi, _ in seen} == res.histories
-        assert [xi.length for xi, _ in seen] == sorted(xi.length for xi, _ in seen)
-        assert seen[0] == (EMPTY_HISTORY, frozenset())
-        for xi, before in seen[1:]:
-            assert before == issued(broker, broker_state, initial_segments(xi)[-2])
-
     def test_truncation_flag(self, broker, broker_state):
         cfg = EnumerationConfig(reply_pool=("yes", "no"), max_phases=1, max_domain=4)
         assert enumerate_attainable(broker, broker_state, cfg).truncated
@@ -158,10 +149,10 @@ class TestEnumerate:
         for sdef in spec.states:
             x = sdef.structure
             histories = sorted(enumerate_attainable(spec, x, POOL4).histories, key=history_sort_key)
-            fresh, filled = parse_spec(text).evaluator(x), parse_spec(text).evaluator(x)
-            finality = [fresh.is_final(xi) for xi in histories]
-            assert finality == [filled.verdict(xi).is_final for xi in histories]
-            assert finality == [filled.is_final(xi) for xi in histories]
+            fresh, filled = parse_spec(text), parse_spec(text)
+            finality = [fresh.evaluator(x).open_issued(xi) is None for xi in histories]
+            assert finality == [verdict(filled, x, xi).is_final for xi in histories]
+            assert finality == [filled.evaluator(x).open_issued(xi) is None for xi in histories]
             assert True in finality and False in finality
 
     def test_enumeration_classifies_nothing(self, monkeypatch):
@@ -174,8 +165,7 @@ class TestEnumerate:
             res = enumerate_attainable(spec, x, POOL4)
         assert len(res.histories) == 7841
         # some of them are final, so a classification was there to be made
-        ev = spec.evaluator(x)
-        assert 0 < sum(ev.is_final(xi) for xi in res.histories) < len(res.histories)
+        assert 0 < sum(verdict(spec, x, xi).is_final for xi in res.histories) < len(res.histories)
 
     def test_the_walks_rebuild_no_prefix(self, monkeypatch):
         """Each node carries its parent's issued set, so no walk asks `model.prefix` for a parent."""
@@ -225,6 +215,20 @@ class TestBruteForce:
         cfg = EnumerationConfig(reply_pool=("yes",), max_phases=2, max_domain=2)
         for xi in all_bounded_histories(broker, broker_state, cfg):
             assert xi.length <= 2 and len(xi.domain) <= 2
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_is_attainable_equals_the_brute_force_filter(self, request, name):
+        """On every bounded history, the unattainable ones too: a point query agrees with the oracle's filter."""
+        spec = request.getfixturevalue(name)
+        cfg = EnumerationConfig(reply_pool=("no", "yes"), max_phases=2, max_domain=3)
+        answers = []
+        for sdef in spec.states:
+            x = sdef.structure
+            attainable = brute_force_attainable(spec, x, cfg)
+            for xi in all_bounded_histories(spec, x, cfg):
+                answers.append(is_attainable(spec, x, xi))
+                assert answers[-1] == (xi in attainable), (sdef.name, format_history(xi))
+        assert True in answers and False in answers
 
     def test_coherent_filter_is_a_superset_of_attainable(self, broker, broker_state):
         coherent = brute_force_coherent(broker, broker_state, SMALL)
@@ -298,6 +302,23 @@ class TestCheckPostulates:
         report = check_postulates(broker_sym, SMALL, isos)
         assert report.passed, format_postulate_report(report)
         assert built and len(built) == len(set(built))
+
+    @pytest.mark.parametrize("peek", [False, True], ids=["broker_sym", "peek"])
+    def test_update_sets_are_built_at_final_histories_only(self, monkeypatch, peek):
+        """Only a successful final history has an update set, so none is built where a history is open, not
+        even for an update rule that fires there and reads a reply the history lacks."""
+        spec = parse_spec(broker_sym_with_peek() if peek else (SPECS / "broker_sym.isa").read_text())
+        built: list = []
+        original = model.Evaluator.update_set
+        monkeypatch.setattr(model.Evaluator, "update_set", lambda ev, xi: built.append((ev.x, xi)) or original(ev, xi))
+        # the benchmark's check of broker_sym: three phases and three queries
+        cfg = EnumerationConfig(reply_pool=("no", "yes"), max_phases=3, max_domain=3)
+        report = check_postulates(spec, cfg, parse_iso((SPECS / "swap.iso").read_text(), spec))
+        monkeypatch.undo()
+        assert report.passed, format_postulate_report(report)
+        assert all(spec.evaluator(x).open_issued(xi) is None for x, xi in built)
+        if not peek:
+            assert len(built) == 78  # was 94: 16 of them at histories that are not final
 
     def test_broken_isomorphism_is_reported(self, broker_sym):
         report = check_postulates(broker_sym, SMALL, [({"client0": "client0"}, "X0", "Y0")])

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import SCRIPTS, SPECS
+from conftest import SCRIPTS, SPECS, broker_sym_with_peek
 from interstep.cli import dispatch
 from interstep.history import History
 
@@ -197,6 +197,22 @@ def test_update_rule_reading_an_unanswered_reply_exits_4(tmp_path, capsys, comma
     )
 
 
+def test_update_rule_that_fires_only_before_the_end_passes_check_with_iso(tmp_path, capsys):
+    """The isomorphism and witness sections compare update sets of successful finals only (was exit 4 at
+    { (offer0) -> no @0 }, where no other command builds an update set)."""
+    (tmp_path / "peek.isa").write_text(broker_sym_with_peek())
+    path, bounds = str(tmp_path / "peek.isa"), ["--pool", "no,yes", "--max-phases", "2"]
+    code, out = run_cli("check", path, "--iso", str(SPECS / "swap.iso"), *bounds, "--format", "machine")
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert out.endswith("result=conforming\n")
+    assert run_cli("check", path, *bounds)[0] == 0
+    assert run_cli("equiv", path, path, *bounds)[0] == 0
+    assert run_cli("enumerate", path, "--state", "X0", *bounds)[0] == 0
+    for script in sorted(SCRIPTS.glob("*.env")):
+        step = ["--state", "X0", "--script", str(script), "--format", "machine"]
+        assert run_cli("step", path, *step) == run_cli("step", str(SPECS / "broker_sym.isa"), *step), script.name
+
+
 # broker.isa with an issue rule whose query reads the reply to (choose), which no history has at the start
 ASKING = (("issue ask_clock: when start emit (timeout)", "issue ask_clock: when start emit (timeout reply(choose))"),)
 
@@ -282,6 +298,28 @@ def test_file_that_is_not_utf8_exits_4(tmp_path, capsys, file_arg):
     assert run_cli(*argv)[0] == 4
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "broker.isa"],
+        ["validate", "broker.isa", "--format", "machine"],
+        ["step", "broker.isa", "--script", "tie.env", "--format", "machine"],
+        ["check", "broker_sym.isa", "--iso", "swap.iso", "--pool", "no,yes", "--max-phases", "2", "--format", "machine"],
+    ],
+    ids=["validate", "validate-machine", "step", "check-iso"],
+)
+def test_a_utf8_byte_order_mark_is_read_past(tmp_path, capsys, argv):
+    """Each file given with a byte-order mark in front reads as the file without it (was exit 4 at 1:1)."""
+    originals = {path.name: path for path in (*SPECS.glob("*.isa"), *SPECS.glob("*.iso"), *SCRIPTS.glob("*.env"))}
+    for name in argv[1:]:
+        if name in originals:
+            (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + originals[name].read_bytes())
+    plain = run_cli(*(str(originals.get(a, a)) for a in argv))
+    assert plain[0] == 0
+    assert run_cli(*(str(tmp_path / a) if a in originals else a for a in argv)) == plain
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -133,6 +133,11 @@ class TestParse:
         assert text.encode()[span.start : span.end] == b"%"
         assert text.splitlines()[span.line - 1][span.column - 1] == "%"
 
+    def test_byte_order_mark_in_the_text_is_a_syntax_error(self):
+        # the command line reads a file's mark past; a mark inside the text given is a stray character
+        with pytest.raises(DslSyntaxError, match=r"^1:1: unexpected character '\\ufeff'$"):
+            parse_spec("\ufeff" + MINIMAL)
+
     def test_huge_numeral_is_a_spanned_syntax_error(self):
         numeral = "9" * 5000  # more digits than int() converts
         text = MINIMAL.replace("max_issued 1", f"max_issued {numeral}")
