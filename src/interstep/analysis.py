@@ -15,6 +15,19 @@ evaluator: its tree is cut when it has pending queries at the phase bound, or
 more of them than the room the domain bound leaves; a wider union cuts
 nothing.  `enumerate_attainable` walks one evaluator and `equiv` two.
 
+A node stands for a class of histories that no rule can tell apart: an
+algorithm sees replies only through finitely many terms (`Evaluator.observed`).
+A reply that the rules only compare with closed terms falls into one class per
+compared value in the pool or the class of the rest; a reply that flows into a
+term is its own class, as is every reply if a named template reads replies.
+Two evaluators use the common refinement.  A node's children combine its
+pending sub-map's classes, answered with their least values, so a node's
+representative is its first member in the concrete walk's order and its least
+by `history_sort_key`: a witness or a rule error names the same history.  All
+members have the representative's issued sets, finality, verdicts and update
+sets.  A node's weight, its parent's times its classes' sizes, counts them:
+`equiv` sums weights, `enumerate_attainable` and `check_postulates` expand.
+
 The walk shows each node to its caller with, per evaluator, the parent's
 issued set and the node's own where it is open, so no command rebuilds a
 prefix and no evaluator keeps a history.  Attainability reads only whether a
@@ -54,7 +67,9 @@ and leaves clause 2 out; the two verdicts provably coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cache
+from itertools import chain, combinations, product
+from math import prod
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import EngineError
@@ -75,7 +90,6 @@ from .isomorphism import Isomorphism, apply_isomorphism, check_isomorphism
 from .model import (
     NOT_FINAL,
     AlgorithmSpec,
-    Evaluator,
     Verdict,
     bound_violations,
     causes,
@@ -121,24 +135,50 @@ class EnumerationResult:
 
 
 def enumerate_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> EnumerationResult:
-    """All attainable histories within the bounds: the walk of one evaluator's tree, as a set."""
-    found, truncated = _walk((spec.evaluator(x),), cfg.pool_for(x), cfg, lambda *node: None)
+    """All attainable histories within the bounds: the walk of one evaluator's tree, each class node expanded, as a set."""
+    found: list[History] = []
+    truncated = _walk((spec,), x, cfg, lambda xi, befores, opens, weight, rows: found.extend(_members(xi, rows)))
     return EnumerationResult(frozenset(found), truncated)
 
 
-def _walk(evaluators: tuple[Evaluator, ...], pool: Sequence[str], cfg: EnumerationConfig, visit: Callable) -> tuple[list[History], bool]:
-    """The union of the evaluators' attainable trees, breadth first (see the module notes): the nodes in walk order,
-    and whether a bound cut some tree.  `visit(xi, befores, opens)` sees each node before its children are made:
-    by evaluator, its parent's issued set (None off that tree) and its own where it is open (else None)."""
+def _members(xi: History, rows: tuple[tuple[str, ...], ...]) -> list[History]:
+    """The concrete histories of a class node, each row's reply ranging over its class; the rows stay canonical, and
+    the members share their row tuples (built anew per member, they held 0.35 MB more after an enumerate round)."""
+    choices = [[row, *[(row[0], r, row[2]) for r in cls[1:]]] for row, cls in zip(xi.entries, rows)]
+    return [History(entries) for entries in product(*choices)]
+
+
+def _reply_classes(specs: tuple[AlgorithmSpec, ...], x: Structure, pool: Sequence[str]) -> Callable[[Query], list[tuple[str, ...]]]:
+    """By query, the classes of the sorted pool that no spec's rules tell apart at x, ordered by least value: each
+    compared value alone and the rest together; a reply that flows counts as compared with every value."""
+    views, every, seen = [spec.evaluator(x).observed(spec._reply_uses) for spec in specs], frozenset(pool), {}
+    for q, values in chain.from_iterable(view for view in views if view is not None):
+        seen[q] = seen.get(q, frozenset()) | (every if values is None else values)
+    default = every if None in views else frozenset()
+
+    @cache
+    def classes(q: Query) -> list[tuple[str, ...]]:
+        values = seen.get(q, default)
+        rest = tuple([v for v in pool if v not in values])
+        return sorted([(v,) for v in pool if v in values] + [rest] * bool(rest))
+
+    return classes
+
+
+def _walk(specs: tuple[AlgorithmSpec, ...], x: Structure, cfg: EnumerationConfig, visit: Callable) -> bool:
+    """The union of the specs' attainable trees at x, breadth first, a node per class (see the module notes); whether a
+    bound cut some tree.  `visit(xi, befores, opens, weight, rows)` sees each node's representative before its children:
+    by evaluator, its parent's issued set (None off that tree) and its own where open (else None), its weight, its rows' classes."""
     # the loop walks the lists it appends to: no child repeats; the root's parent issues nothing
-    found, marks = [EMPTY_HISTORY], [(frozenset(),) * len(evaluators)]
-    truncated = False
-    for xi, befores in zip(found, marks):
+    evaluators, pool = tuple([spec.evaluator(x) for spec in specs]), cfg.pool_for(x)
+    found, marks = [EMPTY_HISTORY], [((frozenset(),) * len(evaluators), (), 1)]
+    classes, truncated = _reply_classes(specs, x, pool), False
+    for xi, (befores, rows, weight) in zip(found, marks):
         # by evaluator, the node's issued set where it is open, else None (a loop: a comprehension is a call)
         opens = []
         for ev, before in zip(evaluators, befores):
             opens.append(None if before is None else ev.open_issued(xi, before))
-        visit(xi, befores, opens)
+        visit(xi, befores, opens, weight, rows)
         pends = [o.difference(xi.answers) for o in opens if o is not None]
         if not pends:
             continue
@@ -151,9 +191,10 @@ def _walk(evaluators: tuple[Evaluator, ...], pool: Sequence[str], cfg: Enumerati
                 # the subset is unanswered, so it is pending where it is issued
                 child = tuple([o if o is not None and o.issuperset(subset) else None for o in opens])
                 if any(child):  # the issued set of an open node is not empty
-                    found += [append_class(xi, dict(zip(subset, values))) for values in product(pool, repeat=size)]
-                    marks += [child] * len(pool) ** size
-    return found, truncated
+                    for combo in product(*map(classes, subset)):
+                        found.append(append_class(xi, {q: c[0] for q, c in zip(subset, combo)}))
+                        marks.append((child, rows + combo, weight * prod(map(len, combo))))
+    return truncated
 
 
 # --- Brute-force generation (the tests' oracle; no command calls it) ---------------
@@ -264,11 +305,11 @@ def check_postulates(
     truncated = False
 
     # each state's walk in report order: its attainable histories, each with its parent's issued set
-    # and its own where it is open
+    # and its own where it is open, those of its class node
     walked: dict[str, list[tuple[History, frozenset[Query], frozenset[Query] | None]]] = {}
     for sdef in spec.states:
         x, nodes = sdef.structure, []
-        _, cut = _walk((spec.evaluator(x),), cfg.pool_for(x), cfg, lambda xi, befores, opens: nodes.append((xi, befores[0], opens[0])))
+        cut = _walk((spec,), x, cfg, lambda xi, b, o, weight, rows: nodes.extend([(m, b[0], o[0]) for m in _members(xi, rows)]))
         truncated = truncated or cut
         walked[sdef.name] = sorted(nodes, key=lambda node: history_sort_key(node[0]))
 
@@ -382,6 +423,16 @@ def _divergence_key(d: Divergence) -> tuple:
     return (d.state or "", history_sort_key(d.history) if d.history is not None else (), d.clause)
 
 
+def _weight(nodes: list[tuple]) -> int:
+    """The number of histories that class nodes stand for, each given as (representative, weight, ...)."""
+    return sum(node[1] for node in nodes)
+
+
+def _least(nodes: list[tuple]) -> tuple:
+    """The class node whose representative sorts first: no history it stands for sorts before it."""
+    return min(nodes, key=lambda node: history_sort_key(node[0]))
+
+
 def _compare(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: EnumerationConfig, weak: bool) -> EquivalenceReport:
     clauses: list[ClauseOutcome] = []
     divergences: list[Divergence] = []
@@ -410,51 +461,52 @@ def _compare(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: EnumerationConfi
         if x not in structs_b:
             continue
         ev_a, ev_b = spec_a.evaluator(x), spec_b.evaluator(x)
-        nodes: list[tuple[History, tuple, list]] = []
-        _, cut = _walk((ev_a, ev_b), cfg.pool_for(x), cfg, lambda *node: nodes.append(node))
+        nodes: list[tuple[History, tuple, list, int, tuple]] = []
+        cut = _walk((spec_a, spec_b), x, cfg, lambda *node: nodes.append(node))
         truncated = truncated or cut
-        # after the walk, as a rule error is met there first: the nodes in exactly one spec,
-        # then the bad nodes of clauses 3-5 and the successful finals
+        # after the walk, as a rule error is met there first: the nodes in exactly one spec, then the bad
+        # nodes of clauses 3-5 and the successful finals, each with its weight, which every count sums
         only, bad3, bad4, bad5, succ = [], [], [], [], 0
-        for xi, (before_a, before_b), (open_a, open_b) in nodes:
+        for xi, (before_a, before_b), (open_a, open_b), weight, _ in nodes:
             if before_a is None or before_b is None:
-                only.append(xi)
+                only.append((xi, weight))
                 continue
             issued_a = open_a if open_a is not None else ev_a.issued(xi, before_a)
             issued_b = open_b if open_b is not None else ev_b.issued(xi, before_b)
             if issued_a != issued_b:
-                bad3.append((xi, issued_a ^ issued_b))
+                bad3.append((xi, weight, issued_a ^ issued_b))
             va = NOT_FINAL if open_a is not None else ev_a.classify(xi)
             vb = NOT_FINAL if open_b is not None else ev_b.classify(xi)
             if va.kind != vb.kind:
-                bad4.append((xi, va.kind, vb.kind))
+                bad4.append((xi, weight, va.kind, vb.kind))
             if va.is_success and vb.is_success:
-                succ += 1
+                succ += weight
                 if va.updates != vb.updates:
-                    bad5.append(xi)
+                    bad5.append((xi, weight))
+        every, n_only = sum(node[3] for node in nodes), _weight(only)
         if not weak:
-            detail = f"{len(only)} histories attainable in exactly one" if only else f"{len(nodes)} attainable histories agree"
+            detail = f"{n_only} histories attainable in exactly one" if only else f"{every} attainable histories agree"
             clauses.append(ClauseOutcome(2, sdef.name, not only, detail))
             if only:
-                divergences.append(Divergence(sdef.name, min(only, key=history_sort_key), 2, "attainable in exactly one description"))
+                divergences.append(Divergence(sdef.name, _least(only)[0], 2, "attainable in exactly one description"))
         clauses.append(
-            ClauseOutcome(3, sdef.name, not bad3, f"issued sets agree on {len(nodes) - len(only)} histories" if not bad3 else f"issued sets differ on {len(bad3)} histories")
+            ClauseOutcome(3, sdef.name, not bad3, f"issued sets agree on {every - n_only} histories" if not bad3 else f"issued sets differ on {_weight(bad3)} histories")
         )
         if bad3:
-            w, differ = min(bad3, key=lambda bad: history_sort_key(bad[0]))
+            w, _, differ = _least(bad3)
             diff = " ".join(format_query(q) for q in sorted(differ, key=query_sort_key))
             divergences.append(Divergence(sdef.name, w, 3, f"issued sets differ by {diff}"))
         clauses.append(
-            ClauseOutcome(4, sdef.name, not bad4, "final classifications agree" if not bad4 else f"final classifications differ on {len(bad4)} histories")
+            ClauseOutcome(4, sdef.name, not bad4, "final classifications agree" if not bad4 else f"final classifications differ on {_weight(bad4)} histories")
         )
         if bad4:
-            w, kind_a, kind_b = min(bad4, key=lambda bad: history_sort_key(bad[0]))
+            w, _, kind_a, kind_b = _least(bad4)
             divergences.append(Divergence(sdef.name, w, 4, f"{kind_a} vs {kind_b}"))
         clauses.append(
-            ClauseOutcome(5, sdef.name, not bad5, f"update sets agree on {succ} successful finals" if not bad5 else f"update sets differ on {len(bad5)} histories")
+            ClauseOutcome(5, sdef.name, not bad5, f"update sets agree on {succ} successful finals" if not bad5 else f"update sets differ on {_weight(bad5)} histories")
         )
         if bad5:
-            divergences.append(Divergence(sdef.name, min(bad5, key=history_sort_key), 5, "update sets differ"))
+            divergences.append(Divergence(sdef.name, _least(bad5)[0], 5, "update sets differ"))
 
     ok = all(c.passed for c in clauses)
     div = min(divergences, key=_divergence_key) if divergences else None

@@ -133,7 +133,7 @@ def _pick_state(spec: AlgorithmSpec, name: str | None, *, initial_only: bool = F
 
 
 def _config(args) -> analysis.EnumerationConfig:
-    pool = tuple(sorted(args.pool.split(","))) if getattr(args, "pool", None) else None
+    pool = tuple(sorted(args.pool.split(","))) if getattr(args, "pool", None) is not None else None
     return analysis.EnumerationConfig(reply_pool=pool, max_phases=args.max_phases, max_domain=args.max_domain)
 
 

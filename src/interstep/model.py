@@ -57,6 +57,7 @@ from typing import Callable, Iterable
 
 from .errors import EngineError
 from .history import (
+    EMPTY_HISTORY,
     Elem,
     History,
     Label,
@@ -273,7 +274,29 @@ class AlgorithmSpec:
     @cached_property
     def _reply_free(self) -> frozenset[str]:
         # names of the named templates that read no reply
-        return frozenset(name for name, t in self._template_by_name.items() if not _reads_replies(t))
+        return frozenset(name for name, t in self._template_by_name.items() if not _replies_read(t.parts))
+
+    @cached_property
+    def _reply_uses(self) -> dict[str, frozenset[Term] | None]:
+        """By named template whose reply a rule reads: the closed terms it is compared with, or None where it flows,
+        that is, stands in a `reply(q) = t` with t not closed, a term equality, an emitted template or an update."""
+        compared: dict[str, set[Term]] = {}
+        terms = [p for r in self.issue_rules for p in r.template.parts] + [t for r in self.update_rules for t in (*r.args, r.value)]
+        guards = [r.guard for r in (*self.issue_rules, *self.final_rules, *self.update_rules)]
+        while guards:  # a stack, not recursion: guards nest deeply
+            g = guards.pop()
+            if isinstance(g, (And, Or)):
+                guards += (g.left, g.right)
+            elif isinstance(g, Not):
+                guards.append(g.inner)
+            elif isinstance(g, ReplyEq) and _closed(g.term):
+                compared.setdefault(g.qname, set()).add(g.term)
+            elif isinstance(g, ReplyEq):
+                terms += (ReplyVar(g.qname), g.term)
+            elif isinstance(g, TermEq):
+                terms += (g.left, g.right)
+        uses = {name: frozenset(ts) for name, ts in compared.items()} | dict.fromkeys(_replies_read(terms))
+        return {name: use for name, use in uses.items() if name in self._template_by_name}
 
     @cached_property
     def _evaluators(self) -> dict[Structure, Evaluator]:
@@ -331,13 +354,9 @@ NOT_FINAL = Verdict("not-final")
 _NOTHING: frozenset = frozenset()
 
 
-def _reads_replies(template: QueryTemplate) -> bool:
-    return any(
-        isinstance(v, ReplyVar)
-        for part in template.parts
-        if not isinstance(part, Label)
-        for v in term_variables(part)
-    )
+def _replies_read(parts: Iterable[Label | Term]) -> set[str]:
+    """The names of the templates whose replies some template part or term reads."""
+    return {v.name for part in parts if not isinstance(part, Label) for v in term_variables(part) if isinstance(v, ReplyVar)}
 
 
 def _named_template(by_name: dict[str, QueryTemplate], qname: str) -> QueryTemplate:
@@ -438,6 +457,14 @@ class Evaluator:
         """The value of a closed term, kept in `_closed` under its repr (the key)."""
         out = self._closed[key] = eval_term(self.x, term)
         return out
+
+    def observed(self, uses: dict[str, frozenset[Term] | None]) -> list[tuple[Query, frozenset[str] | None]] | None:
+        """`AlgorithmSpec._reply_uses` here: by named template, its instance and the values its reply is compared with,
+        or None where it flows; None for all if a named template reads replies.  Not read at set-up: `step` needs none."""
+        if len(self._reply_free) < len(self._template_by_name):
+            return None
+        empty = EMPTY_HISTORY
+        return [(self.instance(empty, name), None if terms is None else frozenset([self.value(empty, t) for t in terms])) for name, terms in uses.items()]
 
     # --- causality, verdicts, updates
 

@@ -10,9 +10,15 @@ exponential and exist to cross-check `enumerate_attainable` (its histories
 and its truncation flag), the equivalence walk and `check_postulates`.  The generators themselves are
 re-exported, so that the tests take every brute-force name from this module.
 
+`concrete_walk` is the walk that `interstep.analysis._walk` made before it
+walked reply classes: one node per concrete history, every nonempty sub-map of
+the pending queries into the whole pool a child.  `concrete_enumerate` is
+`enumerate_attainable` on it.  The class walk's expansion must equal it.
+
 `reference_compare` is the equivalence check that the single walk of
 `interstep.analysis._compare` replaced: it enumerates each description's
-attainable tree on its own, takes the symmetric difference and the
+attainable tree on its own with `concrete_enumerate`, so that it shares no class
+code with the walk it checks, takes the symmetric difference and the
 intersection of the two sets, and sorts the intersection to find each
 clause's first bad history.  The walk's reports must equal its reports, full
 and weak.  The evaluator keeps nothing per history, so it and
@@ -52,18 +58,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import product
-from typing import Callable, Iterable, Iterator
+from itertools import combinations, product
+from typing import Callable, Iterable, Iterator, Sequence
 
 from interstep.analysis import (
     ClauseOutcome,
     Divergence,
     EnumerationConfig,
+    EnumerationResult,
     EquivalenceReport,
     _divergence_key,
     all_bounded_histories,
     brute_force_coherent,
-    enumerate_attainable,
     equivalent,
     query_universe,
     weak_equivalent,
@@ -71,6 +77,7 @@ from interstep.analysis import (
 from interstep.dsl import _KEYWORDS, DslSyntaxError, _Parser
 from interstep.execution import Batch, Stall
 from interstep.history import (
+    EMPTY_HISTORY,
     AnswerFunction,
     Elem,
     History,
@@ -93,6 +100,7 @@ from interstep.model import (
     AlgorithmSpec,
     Answered,
     Before,
+    Evaluator,
     Guard,
     InstantiationError,
     ModelError,
@@ -149,6 +157,8 @@ __all__ = [
     "brute_force_truncated",
     "common_prefix_comparable",
     "complete_history",
+    "concrete_enumerate",
+    "concrete_walk",
     "dense_apply_updates",
     "dense_check_isomorphism",
     "dense_transport",
@@ -244,6 +254,36 @@ def brute_force_step_a(spec: AlgorithmSpec, cfg: EnumerationConfig, strict: bool
     return step_a
 
 
+def concrete_walk(evaluators: tuple[Evaluator, ...], pool: Sequence[str], cfg: EnumerationConfig, visit: Callable) -> tuple[list[History], bool]:
+    """The union of the evaluators' attainable trees, breadth first, one node per concrete history: the nodes in
+    walk order, and whether a bound cut some tree.  `visit(xi, befores, opens)` sees each node before its children
+    are made: by evaluator, its parent's issued set (None off that tree) and its own where it is open (else None)."""
+    found, marks = [EMPTY_HISTORY], [(frozenset(),) * len(evaluators)]
+    truncated = False
+    for xi, befores in zip(found, marks):
+        opens = [None if before is None else ev.open_issued(xi, before) for ev, before in zip(evaluators, befores)]
+        visit(xi, befores, opens)
+        pends = [o.difference(xi.answers) for o in opens if o is not None]
+        if not pends:
+            continue
+        room = cfg.max_domain - len(xi.entries) if xi.length < cfg.max_phases else 0
+        truncated = truncated or max(map(len, pends)) > room
+        pend = sorted(frozenset().union(*pends), key=query_sort_key)
+        for size in range(1, min(len(pend), room) + 1):
+            for subset in combinations(pend, size):
+                child = tuple([o if o is not None and o.issuperset(subset) else None for o in opens])
+                if any(child):
+                    found += [append_class(xi, dict(zip(subset, values))) for values in product(pool, repeat=size)]
+                    marks += [child] * len(pool) ** size
+    return found, truncated
+
+
+def concrete_enumerate(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> EnumerationResult:
+    """`enumerate_attainable` on the concrete walk."""
+    found, truncated = concrete_walk((spec.evaluator(x),), cfg.pool_for(x), cfg, lambda *node: None)
+    return EnumerationResult(frozenset(found), truncated)
+
+
 def agreement_property(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: EnumerationConfig) -> bool:
     """The full and weak checkers must return the same verdict."""
     return equivalent(spec_a, spec_b, cfg).equivalent == weak_equivalent(spec_a, spec_b, cfg).equivalent
@@ -276,8 +316,8 @@ def reference_compare(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: Enumera
         x = sdef.structure
         if x not in structs_b:
             continue
-        res_a = enumerate_attainable(spec_a, x, cfg)
-        res_b = enumerate_attainable(spec_b, x, cfg)
+        res_a = concrete_enumerate(spec_a, x, cfg)
+        res_b = concrete_enumerate(spec_b, x, cfg)
         truncated = truncated or res_a.truncated or res_b.truncated
         if not weak:
             same = res_a.histories == res_b.histories

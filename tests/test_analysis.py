@@ -5,10 +5,11 @@ import gc
 import importlib.util
 import tracemalloc
 import weakref
+from itertools import product
 
 import pytest
 
-from conftest import BROKER_POOL, ROOT, SPECS, broker_sym_with_peek, h, lq
+from conftest import BROKER_POOL, ROOT, SPECS, broker_sym_with_peek, broker_with_confirm, h, lq
 from interstep import analysis, execution, model
 from interstep.analysis import (
     AnalysisError,
@@ -31,6 +32,8 @@ from oracle import (
     brute_force_coherent,
     brute_force_step_a,
     brute_force_truncated,
+    concrete_enumerate,
+    concrete_walk,
     is_initial_segment,
     query_universe,
     reference_compare,
@@ -125,9 +128,9 @@ class TestEnumerate:
     @pytest.mark.parametrize("pool", [None, ("no", "yes")], ids=["base", "no-yes"])
     @pytest.mark.parametrize("name", ["broker.isa", "broker_preferred.isa", "broker_sym.isa"])
     def test_enumeration_is_a_tree(self, monkeypatch, name, pool):
-        """Every child is new: one append per history but the empty one, so nothing needs a seen set."""
+        """Every child is new: one append per class node but the root, so nothing needs a seen set."""
         spec = parse_spec((SPECS / name).read_text())
-        calls = 0
+        cfg, calls = EnumerationConfig(reply_pool=pool), 0
         append_class = analysis.append_class
 
         def counting(xi, batch):
@@ -137,9 +140,23 @@ class TestEnumerate:
 
         monkeypatch.setattr(analysis, "append_class", counting)
         for sdef in spec.states:
+            x, nodes = sdef.structure, []
+            analysis._walk((spec,), x, cfg, lambda xi, *_: nodes.append(xi))
             calls = 0
-            res = enumerate_attainable(spec, sdef.structure, EnumerationConfig(reply_pool=pool))
-            assert calls == len(res.histories) - 1
+            res = enumerate_attainable(spec, x, cfg)
+            assert calls == len(nodes) - 1 == len(set(nodes)) - 1 < len(res.histories) - 1
+
+    @pytest.mark.parametrize("pool", [None, ("no", "yes"), BROKER_POOL, ("t",)], ids=["base", "no-yes", "broker-pool", "t"])
+    @pytest.mark.parametrize("name", ["broker.isa", "broker_preferred.isa", "broker_sym.isa"])
+    def test_weights_sum_to_the_concrete_count(self, name, pool):
+        """A class node's weight is the number of its members, and the weights add up to the concrete walk's nodes."""
+        spec = parse_spec((SPECS / name).read_text())
+        cfg = EnumerationConfig(reply_pool=pool)
+        for sdef in spec.states:
+            x, nodes = sdef.structure, []
+            analysis._walk((spec,), x, cfg, lambda xi, befores, opens, weight, rows: nodes.append((weight, rows)))
+            assert all(weight == len(list(product(*rows))) for weight, rows in nodes)
+            assert sum(weight for weight, _ in nodes) == len(concrete_walk((spec.evaluator(x),), cfg.pool_for(x), cfg, lambda *_: None)[0])
 
     @pytest.mark.parametrize("name", ["broker.isa", "broker_preferred.isa", "broker_sym.isa", "broker_3"])
     def test_is_final_agrees_with_the_verdict(self, name):
@@ -576,10 +593,12 @@ class TestEquivalence:
             assert equivalent(spec_a, spec_b, cfg).truncated == expected == weak_equivalent(spec_a, spec_b, cfg).truncated, cfg
 
     def test_walk_is_a_tree(self, monkeypatch, broker, broker_preferred):
-        """One append per node of the union of the two trees but the empty history: a shared node is built once."""
-        ra = enumerate_attainable(broker, broker.state("X0"), FULL).histories
-        rb = enumerate_attainable(broker_preferred, broker_preferred.state("X0"), FULL).histories
-        calls = 0
+        """One append per class node of the union of the two trees but the root: a shared node is built once."""
+        x = broker.state("X0")
+        ra = enumerate_attainable(broker, x, FULL).histories
+        rb = enumerate_attainable(broker_preferred, x, FULL).histories
+        nodes, calls = [], 0
+        analysis._walk((broker, broker_preferred), x, FULL, lambda xi, befores, opens, weight, rows: nodes.append((xi, weight)))
         append_class = analysis.append_class
 
         def counting(xi, batch):
@@ -589,7 +608,9 @@ class TestEquivalence:
 
         monkeypatch.setattr(analysis, "append_class", counting)
         equivalent(broker, broker_preferred, FULL)
-        assert calls == len(ra | rb) - 1 < len(ra) + len(rb) - 2
+        assert calls == len(nodes) - 1 == len(set(nodes)) - 1
+        # 90 class nodes stand for the union's 806 histories
+        assert (len(nodes), sum(weight for _, weight in nodes)) == (90, len(ra | rb)) == (90, 806)
 
     def test_report_formats(self, broker, broker_preferred):
         report = equivalent(broker, broker_preferred, FULL)
@@ -604,6 +625,96 @@ class TestEquivalence:
         report = equivalent(broker, broker, cfg)
         assert report.equivalent and report.truncated
         assert "equivalent up to bounds" in format_equivalence_report(report)
+
+
+# edits of broker.isa that change what the rules see of a reply
+CLASS_EDITS = {
+    # the reply to (offer0) flows into an update value
+    "flowing-update": ("update sell0:", "update keep: when answered(offer0) and reply(offer1) = no() owner() := reply(offer0)\nupdate sell0:"),
+    # two replies compared with each other
+    "reply-equality": ("final sale0:", "final same: when reply(offer0) = reply(offer1) succeed\nfinal sale0:"),
+    # two replies compared inside a term equality
+    "term-equality": ("final sale0:", "final alike: when eq(reply(offer0), reply(offer1)) = true() fail\nfinal sale0:"),
+    # the reply to (timeout), compared with nothing in broker.isa, is compared with no()
+    "timeout-no": ("final sale0:", "final refused: when reply(timeout) = no() fail\nfinal sale0:"),
+    # against broker.isa, a value that only one side compares with: the common refinement
+    "client0-offer": ("final sale0:", "final odd: when reply(offer0) = client0() fail\nfinal sale0:"),
+}
+# each case's two specs: a shipped pair, broker_N against its preferred variant, an edit against broker.isa, and a
+# template that reads the reply to (choose) against one that reads none, where every reply is its own class
+CLASS_CASES = ("broker", "broker_preferred", "broker_sym", "broker_2", "broker_3", "broker_4", *CLASS_EDITS, "confirm")
+CLASS_POOLS = {
+    "base": None,
+    "client0-no-t-yes": ("client0", "no", "t", "yes"),
+    "broker-pool": BROKER_POOL,
+    "yes": ("yes",),
+    "t": ("t",),
+    "empty": (),
+}
+
+
+def class_case(name):
+    """The two specs of a `CLASS_CASES` entry."""
+    text = (SPECS / "broker.isa").read_text()
+    if name in CLASS_EDITS:
+        old, new = CLASS_EDITS[name]
+        assert text.count(old) == 1
+        return parse_spec(text.replace(old, new)), parse_spec(text)
+    if name == "confirm":
+        return broker_with_confirm("(confirm reply(choose))"), broker_with_confirm("(confirm)")
+    if name in ("broker_2", "broker_3", "broker_4"):
+        n = int(name.removeprefix("broker_"))
+        return parse_spec(specgen.broker_text(n)), parse_spec(specgen.broker_text(n, preferred=True))
+    other = {"broker": "broker_preferred", "broker_preferred": "broker"}.get(name, name)
+    return parse_spec((SPECS / f"{name}.isa").read_text()), parse_spec((SPECS / f"{other}.isa").read_text())
+
+
+def class_config(name, pool):
+    """The default bounds, but two phases and two queries for broker_3 and broker_4: their concrete walks at the
+    default pool and bounds would take minutes (broker_4 took 19 s at two phases and three queries)."""
+    if name in ("broker_3", "broker_4"):
+        return EnumerationConfig(reply_pool=pool, max_phases=2, max_domain=2)
+    return EnumerationConfig(reply_pool=pool)
+
+
+class TestReplyClasses:
+    """The class walk against the concrete walk of `oracle.concrete_walk`, which shares no class code with it."""
+
+    @pytest.mark.parametrize("pool", CLASS_POOLS)
+    @pytest.mark.parametrize("name", CLASS_CASES)
+    def test_enumeration_equals_the_concrete_walk(self, name, pool):
+        cfg = class_config(name, CLASS_POOLS[pool])
+        for spec in class_case(name):
+            for sdef in spec.states:
+                assert enumerate_attainable(spec, sdef.structure, cfg) == concrete_enumerate(spec, sdef.structure, cfg)
+
+    @pytest.mark.parametrize("pool", CLASS_POOLS)
+    @pytest.mark.parametrize("name", CLASS_CASES)
+    def test_equivalence_equals_the_reference(self, name, pool):
+        cfg = class_config(name, CLASS_POOLS[pool])
+        spec_a, spec_b = class_case(name)
+        assert equivalent(spec_a, spec_b, cfg) == reference_compare(spec_a, spec_b, cfg, weak=False)
+        assert weak_equivalent(spec_a, spec_b, cfg) == reference_compare(spec_a, spec_b, cfg, weak=True)
+
+    @pytest.mark.parametrize("pool", CLASS_POOLS)
+    @pytest.mark.parametrize("name", CLASS_CASES)
+    def test_check_reads_the_concrete_walk(self, monkeypatch, name, pool):
+        """`check_postulates` runs its sections on the expanded class nodes: each state's histories in report
+        order with their issued sets, as the bounds section is handed them, are the concrete walk's."""
+        cfg = class_config(name, CLASS_POOLS[pool])
+        spec = class_case(name)[0]
+        handed: list[list] = []
+        original = analysis.bound_violations
+        monkeypatch.setattr(analysis, "bound_violations", lambda bounds, sets: original(bounds, handed.append(list(sets)) or handed[-1]))
+        check_postulates(spec, cfg)
+        monkeypatch.undo()
+        expected = []
+        for sdef in spec.states:
+            ev, nodes = spec.evaluator(sdef.structure), []
+            concrete_walk((ev,), cfg.pool_for(sdef.structure), cfg, lambda xi, befores, opens: nodes.append((xi, befores[0], opens[0])))
+            nodes.sort(key=lambda node: history_sort_key(node[0]))
+            expected.append([(xi, opened if opened is not None else ev.issued(xi, before)) for xi, before, opened in nodes])
+        assert handed == expected
 
 
 class TestIsoFile:

@@ -197,6 +197,25 @@ def test_update_rule_reading_an_unanswered_reply_exits_4(tmp_path, capsys, comma
     )
 
 
+@pytest.mark.parametrize("command", [["check"], ["equiv", "SPEC", "BASE"]], ids=["check", "equiv"])
+def test_update_rule_error_names_the_least_member_of_its_class(tmp_path, capsys, command):
+    """The reply to (timeout) is compared with nothing, so its five values are one class, whose least member the
+    error names: there the rule meets the missing reply to (choose) first."""
+    pool = ["--pool", "client0,client1,no,t,yes"]
+    assert run_on(write_broker_with(tmp_path, EARLY), [*command, *pool]) == (4, "")
+    assert capsys.readouterr().err == (
+        "error: 44:1: update rule 'early' fired but mentions an unanswered reply at { (timeout) -> client0 @0 }\n"
+    )
+
+
+@pytest.mark.parametrize("command", [["enumerate", BROKER], ["check", BROKER], ["equiv", BROKER, BROKER]], ids=["enumerate", "check", "equiv"])
+def test_an_empty_pool_option_is_a_usage_error(capsys, command):
+    """`--pool=` names the one element '', as `--pool=,` does; it does not mean the whole base set (was exit 0)."""
+    for pool in ("--pool=", "--pool=,"):
+        assert run_cli(*command, pool, "--format", "machine") == (4, "")
+        assert capsys.readouterr().err == "error: reply pool elements [''] are not in the base set\n"
+
+
 def test_update_rule_that_fires_only_before_the_end_passes_check_with_iso(tmp_path, capsys):
     """The isomorphism and witness sections compare update sets of successful finals only (was exit 4 at
     { (offer0) -> no @0 }, where no other command builds an update set)."""
