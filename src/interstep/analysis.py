@@ -25,7 +25,7 @@ pending sub-map's classes, answered with their least values, so a node's
 representative is its first member in the concrete walk's order and its least
 by `history_sort_key`: a witness or a rule error names the same history.  All
 members have the representative's issued sets, finality, verdicts and update
-sets.  A node's weight, its parent's times its classes' sizes, counts them:
+sets.  A node's weight, the product of its rows' class sizes, counts them:
 `equiv` sums weights, `enumerate_attainable` and `check_postulates` expand.
 
 The walk shows each node to its caller with, per evaluator, the parent's
@@ -137,7 +137,7 @@ class EnumerationResult:
 def enumerate_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> EnumerationResult:
     """All attainable histories within the bounds: the walk of one evaluator's tree, each class node expanded, as a set."""
     found: list[History] = []
-    truncated = _walk((spec,), x, cfg, lambda xi, befores, opens, weight, rows: found.extend(_members(xi, rows)))
+    truncated = _walk((spec,), x, cfg, lambda xi, befores, opens, rows: found.extend(_members(xi, rows)))
     return EnumerationResult(frozenset(found), truncated)
 
 
@@ -150,15 +150,14 @@ def _members(xi: History, rows: tuple[tuple[str, ...], ...]) -> list[History]:
 
 def _reply_classes(specs: tuple[AlgorithmSpec, ...], x: Structure, pool: Sequence[str]) -> Callable[[Query], list[tuple[str, ...]]]:
     """By query, the classes of the sorted pool that no spec's rules tell apart at x, ordered by least value: each
-    compared value alone and the rest together; a reply that flows counts as compared with every value."""
+    compared value alone and the rest together; a reply that flows, or any if a named template reads one, is alone."""
     views, every, seen = [spec.evaluator(x).observed(spec._reply_uses) for spec in specs], frozenset(pool), {}
     for q, values in chain.from_iterable(view for view in views if view is not None):
         seen[q] = seen.get(q, frozenset()) | (every if values is None else values)
-    default = every if None in views else frozenset()
 
     @cache
     def classes(q: Query) -> list[tuple[str, ...]]:
-        values = seen.get(q, default)
+        values = every if None in views else seen.get(q, frozenset())
         rest = tuple([v for v in pool if v not in values])
         return sorted([(v,) for v in pool if v in values] + [rest] * bool(rest))
 
@@ -167,18 +166,18 @@ def _reply_classes(specs: tuple[AlgorithmSpec, ...], x: Structure, pool: Sequenc
 
 def _walk(specs: tuple[AlgorithmSpec, ...], x: Structure, cfg: EnumerationConfig, visit: Callable) -> bool:
     """The union of the specs' attainable trees at x, breadth first, a node per class (see the module notes); whether a
-    bound cut some tree.  `visit(xi, befores, opens, weight, rows)` sees each node's representative before its children:
-    by evaluator, its parent's issued set (None off that tree) and its own where open (else None), its weight, its rows' classes."""
+    bound cut some tree.  `visit(xi, befores, opens, rows)` sees each node's representative before its children: by
+    evaluator, its parent's issued set (None off that tree) and its own where open (else None), and its rows' classes."""
     # the loop walks the lists it appends to: no child repeats; the root's parent issues nothing
     evaluators, pool = tuple([spec.evaluator(x) for spec in specs]), cfg.pool_for(x)
-    found, marks = [EMPTY_HISTORY], [((frozenset(),) * len(evaluators), (), 1)]
+    found, marks = [EMPTY_HISTORY], [((frozenset(),) * len(evaluators), ())]
     classes, truncated = _reply_classes(specs, x, pool), False
-    for xi, (befores, rows, weight) in zip(found, marks):
+    for xi, (befores, rows) in zip(found, marks):
         # by evaluator, the node's issued set where it is open, else None (a loop: a comprehension is a call)
         opens = []
         for ev, before in zip(evaluators, befores):
             opens.append(None if before is None else ev.open_issued(xi, before))
-        visit(xi, befores, opens, weight, rows)
+        visit(xi, befores, opens, rows)
         pends = [o.difference(xi.answers) for o in opens if o is not None]
         if not pends:
             continue
@@ -193,7 +192,7 @@ def _walk(specs: tuple[AlgorithmSpec, ...], x: Structure, cfg: EnumerationConfig
                 if any(child):  # the issued set of an open node is not empty
                     for combo in product(*map(classes, subset)):
                         found.append(append_class(xi, {q: c[0] for q, c in zip(subset, combo)}))
-                        marks.append((child, rows + combo, weight * prod(map(len, combo))))
+                        marks.append((child, rows + combo))
     return truncated
 
 
@@ -309,7 +308,7 @@ def check_postulates(
     walked: dict[str, list[tuple[History, frozenset[Query], frozenset[Query] | None]]] = {}
     for sdef in spec.states:
         x, nodes = sdef.structure, []
-        cut = _walk((spec,), x, cfg, lambda xi, b, o, weight, rows: nodes.extend([(m, b[0], o[0]) for m in _members(xi, rows)]))
+        cut = _walk((spec,), x, cfg, lambda xi, b, o, rows: nodes.extend([(m, b[0], o[0]) for m in _members(xi, rows)]))
         truncated = truncated or cut
         walked[sdef.name] = sorted(nodes, key=lambda node: history_sort_key(node[0]))
 
@@ -461,13 +460,13 @@ def _compare(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: EnumerationConfi
         if x not in structs_b:
             continue
         ev_a, ev_b = spec_a.evaluator(x), spec_b.evaluator(x)
-        nodes: list[tuple[History, tuple, list, int, tuple]] = []
-        cut = _walk((spec_a, spec_b), x, cfg, lambda *node: nodes.append(node))
+        nodes: list[tuple[History, tuple, list, int]] = []
+        cut = _walk((spec_a, spec_b), x, cfg, lambda xi, befores, opens, rows: nodes.append((xi, befores, opens, prod(map(len, rows)))))
         truncated = truncated or cut
         # after the walk, as a rule error is met there first: the nodes in exactly one spec, then the bad
         # nodes of clauses 3-5 and the successful finals, each with its weight, which every count sums
         only, bad3, bad4, bad5, succ = [], [], [], [], 0
-        for xi, (before_a, before_b), (open_a, open_b), weight, _ in nodes:
+        for xi, (before_a, before_b), (open_a, open_b), weight in nodes:
             if before_a is None or before_b is None:
                 only.append((xi, weight))
                 continue

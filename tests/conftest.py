@@ -26,8 +26,8 @@ def h(*entries: tuple[str, str, int]) -> History:
     return mk_history(answers, phases)
 
 
-def broker_with_confirm(confirm: str):
-    """broker.isa plus a `confirm` query issued after a tie-break, with parts `confirm`.
+def broker_with_confirm(confirm: str, *edits: tuple[str, str]):
+    """broker.isa plus a `confirm` query issued after a tie-break, with parts `confirm`, then each (old, new) edit.
 
     With `(confirm reply(choose))` its instance names the chosen client, so the
     template, a rule template and the final rules that read its reply depend on
@@ -44,6 +44,7 @@ def broker_with_confirm(confirm: str):
         ),
         ("max_query_len 1", "max_query_len 2"),
         ("max_issued 5", "max_issued 6"),
+        *edits,
     ):
         assert old in text
         text = text.replace(old, new)

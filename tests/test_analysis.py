@@ -6,6 +6,7 @@ import importlib.util
 import tracemalloc
 import weakref
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -149,12 +150,13 @@ class TestEnumerate:
     @pytest.mark.parametrize("pool", [None, ("no", "yes"), BROKER_POOL, ("t",)], ids=["base", "no-yes", "broker-pool", "t"])
     @pytest.mark.parametrize("name", ["broker.isa", "broker_preferred.isa", "broker_sym.isa"])
     def test_weights_sum_to_the_concrete_count(self, name, pool):
-        """A class node's weight is the number of its members, and the weights add up to the concrete walk's nodes."""
+        """A class node's weight, the product of its rows' class sizes, is the number of its members, and the weights
+        add up to the concrete walk's nodes."""
         spec = parse_spec((SPECS / name).read_text())
         cfg = EnumerationConfig(reply_pool=pool)
         for sdef in spec.states:
             x, nodes = sdef.structure, []
-            analysis._walk((spec,), x, cfg, lambda xi, befores, opens, weight, rows: nodes.append((weight, rows)))
+            analysis._walk((spec,), x, cfg, lambda xi, befores, opens, rows: nodes.append((prod(map(len, rows)), rows)))
             assert all(weight == len(list(product(*rows))) for weight, rows in nodes)
             assert sum(weight for weight, _ in nodes) == len(concrete_walk((spec.evaluator(x),), cfg.pool_for(x), cfg, lambda *_: None)[0])
 
@@ -598,7 +600,7 @@ class TestEquivalence:
         ra = enumerate_attainable(broker, x, FULL).histories
         rb = enumerate_attainable(broker_preferred, x, FULL).histories
         nodes, calls = [], 0
-        analysis._walk((broker, broker_preferred), x, FULL, lambda xi, befores, opens, weight, rows: nodes.append((xi, weight)))
+        analysis._walk((broker, broker_preferred), x, FULL, lambda xi, befores, opens, rows: nodes.append((xi, prod(map(len, rows)))))
         append_class = analysis.append_class
 
         def counting(xi, batch):
@@ -640,9 +642,12 @@ CLASS_EDITS = {
     # against broker.isa, a value that only one side compares with: the common refinement
     "client0-offer": ("final sale0:", "final odd: when reply(offer0) = client0() fail\nfinal sale0:"),
 }
+# edits on top of a template that reads the reply to (choose), against broker.isa, which tells fewer replies apart:
+# every reply is its own class, also where broker.isa compares it
+CONFIRM_EDITS = {f"confirm-{name}": CLASS_EDITS[name] for name in ("reply-equality", "client0-offer")}
 # each case's two specs: a shipped pair, broker_N against its preferred variant, an edit against broker.isa, and a
 # template that reads the reply to (choose) against one that reads none, where every reply is its own class
-CLASS_CASES = ("broker", "broker_preferred", "broker_sym", "broker_2", "broker_3", "broker_4", *CLASS_EDITS, "confirm")
+CLASS_CASES = ("broker", "broker_preferred", "broker_sym", "broker_2", "broker_3", "broker_4", *CLASS_EDITS, "confirm", *CONFIRM_EDITS)
 CLASS_POOLS = {
     "base": None,
     "client0-no-t-yes": ("client0", "no", "t", "yes"),
@@ -662,6 +667,8 @@ def class_case(name):
         return parse_spec(text.replace(old, new)), parse_spec(text)
     if name == "confirm":
         return broker_with_confirm("(confirm reply(choose))"), broker_with_confirm("(confirm)")
+    if name in CONFIRM_EDITS:
+        return broker_with_confirm("(confirm reply(choose))", CONFIRM_EDITS[name]), parse_spec(text)
     if name in ("broker_2", "broker_3", "broker_4"):
         n = int(name.removeprefix("broker_"))
         return parse_spec(specgen.broker_text(n)), parse_spec(specgen.broker_text(n, preferred=True))
