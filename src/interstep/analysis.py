@@ -13,7 +13,7 @@ queries; a child in no tree is not built.  Each child has one parent, so none
 repeats and each node is built once, for every evaluator.  Truncation is per
 evaluator: its tree is cut when it has pending queries at the phase bound, or
 more of them than the room the domain bound leaves; a wider union cuts
-nothing.  `enumerate_attainable` walks one evaluator and `equiv` two.
+nothing.  `enumerate` and `check` walk one evaluator, `equiv` two.
 
 A node stands for a class of histories that no rule can tell apart: an
 algorithm sees replies only through finitely many terms (`Evaluator.observed`).
@@ -25,23 +25,26 @@ pending sub-map's classes, answered with their least values, so a node's
 representative is its first member in the concrete walk's order and its least
 by `history_sort_key`: a witness or a rule error names the same history.  All
 members have the representative's issued sets, finality, verdicts and update
-sets.  A node's weight, the product of its rows' class sizes, counts them:
-`equiv` sums weights, `enumerate_attainable` and `check_postulates` expand.
+sets, so the commands judge a node once, at its representative, and `equiv`
+counts its members by its weight, the product of its rows' class sizes.
+Members are output, not work: `_lines` writes their texts from the node's
+rows without building them, for the listing of `enumerate` and for each line
+of a node that breaks a postulate.  Only `enumerate_attainable`, which the
+tests read, and the witness section, whose `$x` terms range over each
+member's own replies, build members.
 
 The walk shows each node to its caller with, per evaluator, the parent's
 issued set and the node's own where it is open, so no command rebuilds a
 prefix and no evaluator keeps a history.  Attainability reads only whether a
 history is final, so the walk decides finality and nothing more: it builds
-no update set and decides no success or fail.  `check_postulates` and `equiv`
-keep what the walk showed them and, once it is done, build a final node's
-issued set from its parent's and classify it, so an update rule that fails
-when it fires is an error there; a rule error met on the walk comes first.
-Only the counterpart states of the isomorphism and witness sections are
-asked about one history at a time.  The brute-force generator below
-(`all_bounded_histories`, `brute_force_coherent`) produces *all*
-phase-partitioned answer functions inside the bounds instead; no command
-calls it.  The tests use it as an oracle, and it stays in the package
-because `perfbench/tracing.py` traces it by name.
+no update set and decides no success or fail.  Once the walk is done,
+`check_postulates` and `equiv` build a final node's issued set from its
+parent's and classify it, so an update rule that fails when it fires is an
+error there; a rule error met on the walk comes first.  The brute-force
+generator below (`all_bounded_histories`, `brute_force_coherent`) produces
+*all* phase-partitioned answer functions inside the bounds instead; no
+command calls it.  The tests use it as an oracle, and it stays in the
+package because `perfbench/tracing.py` traces it by name.
 
 Part a of the step postulate asks every complete coherent history to have a
 final initial segment.  The attainable set decides it: a coherent history
@@ -70,7 +73,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, product
 from math import prod
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import EngineError
 from .history import (
@@ -141,11 +144,30 @@ def enumerate_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConf
     return EnumerationResult(frozenset(found), truncated)
 
 
+def attainable_texts(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> tuple[list[str], bool]:
+    """The listing of `enumerate`, each attainable history's text in `history_sort_key` order; whether a bound cut it."""
+    nodes: list[tuple[History, tuple, str, str]] = []
+    truncated = _walk((spec,), x, cfg, lambda xi, befores, opens, rows: nodes.append((xi, rows, "", "")))
+    return _lines(nodes), truncated
+
+
 def _members(xi: History, rows: tuple[tuple[str, ...], ...]) -> list[History]:
-    """The concrete histories of a class node, each row's reply ranging over its class; the rows stay canonical, and
-    the members share their row tuples (built anew per member, they held 0.35 MB more after an enumerate round)."""
+    """The concrete histories of a class node, each row's reply ranging over its class; they share the rows' tuples."""
     choices = [[row, *[(row[0], r, row[2]) for r in cls[1:]]] for row, cls in zip(xi.entries, rows)]
     return [History(entries) for entries in product(*choices)]
+
+
+def _lines(nodes: Iterable[tuple[History, tuple[tuple[str, ...], ...], str, str]]) -> list[str]:
+    """The line `head + text + tail` of each member of each class node given as (representative, rows, head, tail),
+    text being the member as `format_history` writes it, sorted by `history_sort_key`, a member's lines as given.  No
+    `History` is built: a member differs from its representative only in replies, so its key is (length, rows, text)."""
+    keyed = []
+    for xi, rows, head, tail in nodes:
+        choices = [[f"{format_query(q)} -> {r} @{p}" for r in cls] for (q, _, p), cls in zip(xi.entries, rows)]
+        for combo in product(*choices):
+            keyed.append(((xi.length, len(rows), "{ " + " ; ".join(combo) + " }" if combo else "{ }"), head, tail))
+    keyed.sort(key=lambda line: line[0])
+    return [head + key[2] + tail for key, head, tail in keyed]
 
 
 def _reply_classes(specs: tuple[AlgorithmSpec, ...], x: Structure, pool: Sequence[str]) -> Callable[[Query], list[tuple[str, ...]]]:
@@ -289,43 +311,38 @@ class PostulateReport:
 IsoSpec = tuple[Mapping[str, str], str, str]
 
 
-def check_postulates(
-    spec: AlgorithmSpec,
-    cfg: EnumerationConfig,
-    isos: Sequence[IsoSpec] = (),
-    *,
-    strict: bool = False,
-) -> PostulateReport:
-    """Aggregate conformance report over the enumerated history space."""
-    step_a: list[str] = []
-    bounds: list[str] = []
-    iso_section: list[str] = []
-    witness_section: list[str] = []
-    truncated = False
+def check_postulates(spec: AlgorithmSpec, cfg: EnumerationConfig, isos: Sequence[IsoSpec] = (), *, strict: bool = False) -> PostulateReport:
+    """The conformance report of every state's attainable histories, judged by class node.
 
-    # each state's walk in report order: its attainable histories, each with its parent's issued set
-    # and its own where it is open, those of its class node
-    walked: dict[str, list[tuple[History, frozenset[Query], frozenset[Query] | None]]] = {}
-    for sdef in spec.states:
-        x, nodes = sdef.structure, []
-        cut = _walk((spec,), x, cfg, lambda xi, b, o, rows: nodes.extend([(m, b[0], o[0]) for m in _members(xi, rows)]))
-        truncated = truncated or cut
-        walked[sdef.name] = sorted(nodes, key=lambda node: history_sort_key(node[0]))
+    Each state's final nodes are classified in report order before the bounds section builds an issued set, so a
+    rule error names the least history where a rule fails.  Step-a and the bounds judge a node at its representative,
+    the isomorphism section at its image, and a node that breaks a postulate breaks it at every member, so each
+    member gets its line (`_lines`).  The witness section alone judges members, each with its node's verdict.
+    """
+    step_a, bounds, iso_section, witness_section, truncated = [], [], [], [], False
 
-    # each state's attainable histories in report order, with their verdicts
-    judged: dict[str, list[tuple[History, Verdict]]] = {}
+    # each state's class nodes in report order, with their parent's issued set and their own where they are open
+    walked: dict[str, list[tuple[History, tuple, frozenset[Query], frozenset[Query] | None]]] = {}
     for sdef in spec.states:
-        ev, judged[sdef.name] = spec.evaluator(sdef.structure), []
-        for xi, before, opened in walked[sdef.name]:
-            # the walk decides finality only: classifying every final history builds its
-            # update set, so a rule error at a final history surfaces here
-            judged[sdef.name].append((xi, NOT_FINAL if opened is not None else ev.classify(xi)))
+        walked[sdef.name] = nodes = []
+        truncated = _walk((spec,), sdef.structure, cfg, lambda xi, b, o, rows: nodes.append((xi, rows, b[0], o[0]))) or truncated
+        nodes.sort(key=lambda node: history_sort_key(node[0]))
+
+    # each state's class nodes in report order, with their verdicts
+    judged: dict[str, list[tuple[History, tuple, Verdict]]] = {}
+    for sdef in spec.states:
+        ev, name, judged[sdef.name], incomplete, over = spec.evaluator(sdef.structure), sdef.name, [], [], []
+        for xi, rows, before, opened in walked[name]:
+            # the walk decides finality only: classifying a final node builds its update set, and meets its rule errors
+            judged[name].append((xi, rows, NOT_FINAL if opened is not None else ev.classify(xi)))
             # step-a: in lax mode completion finality makes every complete history final
             if strict and opened is None and not ev.issued(xi, before).difference(xi.answers) and not ev.explicitly_final(xi):
-                step_a.append(f"state {sdef.name}: complete coherent {format_history(xi)} has no final prefix")
-        issued_sets = ((xi, opened if opened is not None else ev.issued(xi, before)) for xi, before, opened in walked[sdef.name])
-        for issue in bound_violations(spec.bounds, issued_sets):
-            bounds.append(f"state {sdef.name}: [{issue.code}] {format_history(issue.history)}: {issue.detail}")
+                incomplete.append((xi, rows, f"state {name}: complete coherent ", " has no final prefix"))
+        for xi, rows, before, opened in walked[name]:
+            issues = bound_violations(spec.bounds, [(xi, opened if opened is not None else ev.issued(xi, before))])
+            over += [(xi, rows, f"state {name}: [{issue.code}] ", f": {issue.detail}") for issue in issues]
+        step_a += _lines(incomplete)
+        bounds += _lines(over)
 
     for mapping, name_a, name_b in isos:
         xa, xb = spec.state(name_a), spec.state(name_b)
@@ -335,39 +352,34 @@ def check_postulates(
             continue
         if (name_a in spec.initial) != (name_b in spec.initial):
             iso_section.append(f"{name_a} -> {name_b}: initiality is not preserved")
-        iso, judged_b = Isomorphism.of(full), dict(judged[name_b])
-        for xi, va in judged[name_a]:
-            moved = apply_isomorphism(iso, xi)
+        # σ maps xa's classes onto xb's: the image of a representative is judged by xb's node it represents, or by point query
+        iso, judged_b, bad = Isomorphism.of(full), {xi: v for xi, _, v in judged[name_b]}, []
+        for xi, rows, va in judged[name_a]:
+            moved, where = apply_isomorphism(iso, xi), f"{name_a} -> {name_b}: "
             if apply_isomorphism(iso, causes(spec, xa, xi)) != causes(spec, xb, moved):
-                iso_section.append(f"{name_a} -> {name_b}: causes not preserved at {format_history(xi)}")
+                bad.append((xi, rows, where + "causes not preserved at ", ""))
             vb = judged_b.get(moved) or verdict(spec, xb, moved)
             if va.kind != vb.kind:
-                iso_section.append(
-                    f"{name_a} -> {name_b}: verdict {va.kind} became {vb.kind} at {format_history(xi)}"
-                )
+                bad.append((xi, rows, where + f"verdict {va.kind} became {vb.kind} at ", ""))
             # only a successful final has an update set, and its verdict carries it
             elif va.is_success and apply_isomorphism(iso, va.updates) != vb.updates:
-                iso_section.append(f"{name_a} -> {name_b}: updates not preserved at {format_history(xi)}")
+                bad.append((xi, rows, where + "updates not preserved at ", ""))
+        iso_section += _lines(bad)
 
-    # distinct states only: a state always agrees with itself
+    # distinct states only: a state always agrees with itself.  The witness terms may hold $x variables, which
+    # range over each member's own replies (`_witness_agrees`), so here the members of one node can differ
     for name_a, name_b in combinations([s.name for s in spec.states], 2):
         xa, xb = spec.state(name_a), spec.state(name_b)
-        for xi, va in judged[name_a]:
+        members = [(m, va) for xi, rows, va in judged[name_a] for m in _members(xi, rows)]
+        for xi, va in sorted(members, key=lambda member: history_sort_key(member[0])):
             if not history_valid_for(xb, xi):
                 continue
             for issue in check_witness(spec, xa, xb, xi, va):
                 witness_section.append(f"{name_a} vs {name_b} at {format_history(xi)}: [{issue.code}] {issue.detail}")
 
-    return PostulateReport(
-        sections=(
-            SectionResult("step-a", tuple(step_a)),
-            SectionResult("exclusivity", ()),  # a Verdict has one kind: success and fail exclude each other
-            SectionResult("bounds", tuple(bounds)),
-            SectionResult("isomorphism", tuple(iso_section)),
-            SectionResult("witness", tuple(witness_section)),
-        ),
-        truncated=truncated,
-    )
+    # exclusivity: a Verdict has one kind, so success and fail exclude each other
+    sections = {"step-a": step_a, "exclusivity": [], "bounds": bounds, "isomorphism": iso_section, "witness": witness_section}
+    return PostulateReport(tuple(SectionResult(name, tuple(lines)) for name, lines in sections.items()), truncated)
 
 
 def format_postulate_report(report: PostulateReport, fmt: str = "human") -> str:

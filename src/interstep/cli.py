@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import analysis, dsl, execution
 from .errors import EngineError
-from .history import format_history, history_sort_key
+from .history import format_history
 from .model import AlgorithmSpec
 from .structure import Structure
 
@@ -201,26 +201,13 @@ def _cmd_run(args, out) -> int:
 
 def _cmd_enumerate(args, out) -> int:
     spec = _load_spec(args.spec)
-    x = _pick_state(spec, args.state)
-    res = analysis.enumerate_attainable(spec, x, _config(args))
-    truncated = res.truncated
-    keys = sorted(map(history_sort_key, res.histories))
-    # The listing needs only the keys, each ending in its history's text, so the
-    # histories go before it is printed: by level, shortest first (a list frees its
-    # items from its end), not in the result's hash order, after which resident
-    # memory varied by a whole allocator arena from one run to the next.
-    made = sorted(res.histories, key=lambda xi: -xi.length)
-    del res, x, spec, made
+    texts, truncated = analysis.attainable_texts(spec, _pick_state(spec, args.state), _config(args))
     if args.format == "machine":
-        out.write(f"count={len(keys)}\n")
-        out.write(f"truncated={'true' if truncated else 'false'}\n")
-        for _, _, text in keys:
-            out.write("history=" + text + "\n")
+        out.write(f"count={len(texts)}\ntruncated={'true' if truncated else 'false'}\n")
+        out.writelines(f"history={text}\n" for text in texts)
     else:
-        for _, _, text in keys:
-            out.write(text + "\n")
-        suffix = " (truncated)" if truncated else ""
-        out.write(f"{len(keys)} attainable histories{suffix}\n")
+        out.writelines(f"{text}\n" for text in texts)
+        out.write(f"{len(texts)} attainable histories{' (truncated)' if truncated else ''}\n")
     return 0
 
 

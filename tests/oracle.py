@@ -14,6 +14,9 @@ re-exported, so that the tests take every brute-force name from this module.
 walked reply classes: one node per concrete history, every nonempty sub-map of
 the pending queries into the whole pool a child.  `concrete_enumerate` is
 `enumerate_attainable` on it.  The class walk's expansion must equal it.
+`concrete_check` is `check_postulates` as it was before it judged class
+nodes: it runs every section on each concrete history of the concrete walk,
+and its reports must equal the class check's.
 
 `reference_compare` is the equivalence check that the single walk of
 `interstep.analysis._compare` replaced: it enumerates each description's
@@ -67,6 +70,9 @@ from interstep.analysis import (
     EnumerationConfig,
     EnumerationResult,
     EquivalenceReport,
+    IsoSpec,
+    PostulateReport,
+    SectionResult,
     _divergence_key,
     all_bounded_histories,
     brute_force_coherent,
@@ -93,7 +99,7 @@ from interstep.history import (
     query_sort_key,
     restrict_before,
 )
-from interstep.isomorphism import Isomorphism
+from interstep.isomorphism import Isomorphism, apply_isomorphism, check_isomorphism
 from interstep.model import (
     NOT_FINAL,
     And,
@@ -113,6 +119,10 @@ from interstep.model import (
     TermEq,
     Unanswered,
     Verdict,
+    bound_violations,
+    causes,
+    check_witness,
+    history_valid_for,
     pending,
     verdict,
 )
@@ -157,6 +167,7 @@ __all__ = [
     "brute_force_truncated",
     "common_prefix_comparable",
     "complete_history",
+    "concrete_check",
     "concrete_enumerate",
     "concrete_walk",
     "dense_apply_updates",
@@ -282,6 +293,81 @@ def concrete_enumerate(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig
     """`enumerate_attainable` on the concrete walk."""
     found, truncated = concrete_walk((spec.evaluator(x),), cfg.pool_for(x), cfg, lambda *node: None)
     return EnumerationResult(frozenset(found), truncated)
+
+
+def concrete_check(spec: AlgorithmSpec, cfg: EnumerationConfig, isos: Sequence[IsoSpec] = (), *, strict: bool = False) -> PostulateReport:
+    """`check_postulates` on the concrete walk: every section judges every attainable history on its own."""
+    step_a: list[str] = []
+    bounds: list[str] = []
+    iso_section: list[str] = []
+    witness_section: list[str] = []
+    truncated = False
+
+    # each state's walk in report order: its attainable histories, each with its parent's issued set
+    # and its own where it is open
+    walked: dict[str, list[tuple[History, frozenset[Query], frozenset[Query] | None]]] = {}
+    for sdef in spec.states:
+        x, nodes = sdef.structure, []
+        _, cut = concrete_walk((spec.evaluator(x),), cfg.pool_for(x), cfg, lambda xi, b, o: nodes.append((xi, b[0], o[0])))
+        truncated = truncated or cut
+        walked[sdef.name] = sorted(nodes, key=lambda node: history_sort_key(node[0]))
+
+    # each state's attainable histories in report order, with their verdicts
+    judged: dict[str, list[tuple[History, Verdict]]] = {}
+    for sdef in spec.states:
+        ev, judged[sdef.name] = spec.evaluator(sdef.structure), []
+        for xi, before, opened in walked[sdef.name]:
+            # the walk decides finality only: classifying every final history builds its
+            # update set, so a rule error at a final history surfaces here
+            judged[sdef.name].append((xi, NOT_FINAL if opened is not None else ev.classify(xi)))
+            # step-a: in lax mode completion finality makes every complete history final
+            if strict and opened is None and not ev.issued(xi, before).difference(xi.answers) and not ev.explicitly_final(xi):
+                step_a.append(f"state {sdef.name}: complete coherent {format_history(xi)} has no final prefix")
+        issued_sets = ((xi, opened if opened is not None else ev.issued(xi, before)) for xi, before, opened in walked[sdef.name])
+        for issue in bound_violations(spec.bounds, issued_sets):
+            bounds.append(f"state {sdef.name}: [{issue.code}] {format_history(issue.history)}: {issue.detail}")
+
+    for mapping, name_a, name_b in isos:
+        xa, xb = spec.state(name_a), spec.state(name_b)
+        full = {e: dict(mapping).get(e, e) for e in xa.base}
+        if not check_isomorphism(full, xa, xb):
+            iso_section.append(f"{name_a} -> {name_b}: mapping is not an isomorphism")
+            continue
+        if (name_a in spec.initial) != (name_b in spec.initial):
+            iso_section.append(f"{name_a} -> {name_b}: initiality is not preserved")
+        iso, judged_b = Isomorphism.of(full), dict(judged[name_b])
+        for xi, va in judged[name_a]:
+            moved = apply_isomorphism(iso, xi)
+            if apply_isomorphism(iso, causes(spec, xa, xi)) != causes(spec, xb, moved):
+                iso_section.append(f"{name_a} -> {name_b}: causes not preserved at {format_history(xi)}")
+            vb = judged_b.get(moved) or verdict(spec, xb, moved)
+            if va.kind != vb.kind:
+                iso_section.append(
+                    f"{name_a} -> {name_b}: verdict {va.kind} became {vb.kind} at {format_history(xi)}"
+                )
+            # only a successful final has an update set, and its verdict carries it
+            elif va.is_success and apply_isomorphism(iso, va.updates) != vb.updates:
+                iso_section.append(f"{name_a} -> {name_b}: updates not preserved at {format_history(xi)}")
+
+    # distinct states only: a state always agrees with itself
+    for name_a, name_b in combinations([s.name for s in spec.states], 2):
+        xa, xb = spec.state(name_a), spec.state(name_b)
+        for xi, va in judged[name_a]:
+            if not history_valid_for(xb, xi):
+                continue
+            for issue in check_witness(spec, xa, xb, xi, va):
+                witness_section.append(f"{name_a} vs {name_b} at {format_history(xi)}: [{issue.code}] {issue.detail}")
+
+    return PostulateReport(
+        sections=(
+            SectionResult("step-a", tuple(step_a)),
+            SectionResult("exclusivity", ()),
+            SectionResult("bounds", tuple(bounds)),
+            SectionResult("isomorphism", tuple(iso_section)),
+            SectionResult("witness", tuple(witness_section)),
+        ),
+        truncated=truncated,
+    )
 
 
 def agreement_property(spec_a: AlgorithmSpec, spec_b: AlgorithmSpec, cfg: EnumerationConfig) -> bool:

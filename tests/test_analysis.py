@@ -33,6 +33,7 @@ from oracle import (
     brute_force_coherent,
     brute_force_step_a,
     brute_force_truncated,
+    concrete_check,
     concrete_enumerate,
     concrete_walk,
     is_initial_segment,
@@ -337,7 +338,10 @@ class TestCheckPostulates:
         assert report.passed, format_postulate_report(report)
         assert all(spec.evaluator(x).open_issued(xi) is None for x, xi in built)
         if not peek:
-            assert len(built) == 78  # was 94: 16 of them at histories that are not final
+            # 25 final class nodes in each state, each classified once at its representative, where the isomorphism
+            # section finds every image among Y0's: was 78 while check classified every final member (94 before that,
+            # 16 of them at histories that are not final)
+            assert len(built) == 50
 
     def test_broken_isomorphism_is_reported(self, broker_sym):
         report = check_postulates(broker_sym, SMALL, [({"client0": "client0"}, "X0", "Y0")])
@@ -684,6 +688,28 @@ def class_config(name, pool):
     return EnumerationConfig(reply_pool=pool)
 
 
+WITNESS = "witness { client0() ; client1() ; no() ; yes() }"
+NO_SALE = "final no_sale: when reply(offer0) = no() and reply(offer1) = no() succeed\n"
+EXPIRED = "final expired: when answered(timeout) and not reply(offer0) = yes() and not reply(offer1) = yes() succeed\n"
+# check inputs at the default pool and bounds: (spec, edits, iso file text, strict, whether the report passes)
+VIOLATING = {
+    "max-issued-3": ("broker", (("max_issued 5", "max_issued 3"),), None, False, False),
+    "no-implicit-endings": ("broker", ((NO_SALE, ""), (EXPIRED, "")), None, True, False),
+    "blind-witness": ("broker_sym", ((WITNESS, "witness { no() }"),), None, False, False),
+    "variable-witness": ("broker_sym", ((WITNESS, "witness { $x }"),), None, False, False),
+    "swap": ("broker_sym", (), (SPECS / "swap.iso").read_text(), False, True),
+    "not-an-isomorphism": ("broker_sym", (), "iso X0 Y0 { client0 -> client0 }", False, False),
+}
+
+
+def edited_spec(name, edits):
+    text = (SPECS / f"{name}.isa").read_text()
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return parse_spec(text)
+
+
 class TestReplyClasses:
     """The class walk against the concrete walk of `oracle.concrete_walk`, which shares no class code with it."""
 
@@ -705,23 +731,20 @@ class TestReplyClasses:
 
     @pytest.mark.parametrize("pool", CLASS_POOLS)
     @pytest.mark.parametrize("name", CLASS_CASES)
-    def test_check_reads_the_concrete_walk(self, monkeypatch, name, pool):
-        """`check_postulates` runs its sections on the expanded class nodes: each state's histories in report
-        order with their issued sets, as the bounds section is handed them, are the concrete walk's."""
+    def test_check_equals_the_concrete_check(self, name, pool):
         cfg = class_config(name, CLASS_POOLS[pool])
         spec = class_case(name)[0]
-        handed: list[list] = []
-        original = analysis.bound_violations
-        monkeypatch.setattr(analysis, "bound_violations", lambda bounds, sets: original(bounds, handed.append(list(sets)) or handed[-1]))
-        check_postulates(spec, cfg)
-        monkeypatch.undo()
-        expected = []
-        for sdef in spec.states:
-            ev, nodes = spec.evaluator(sdef.structure), []
-            concrete_walk((ev,), cfg.pool_for(sdef.structure), cfg, lambda xi, befores, opens: nodes.append((xi, befores[0], opens[0])))
-            nodes.sort(key=lambda node: history_sort_key(node[0]))
-            expected.append([(xi, opened if opened is not None else ev.issued(xi, before)) for xi, before, opened in nodes])
-        assert handed == expected
+        assert check_postulates(spec, cfg) == concrete_check(spec, cfg)
+
+    @pytest.mark.parametrize("name", VIOLATING)
+    def test_violations_equal_the_concrete_check(self, name):
+        """Where a section fails, each member of a violating class node has its own line, in report order."""
+        base, edits, iso, strict, passed = VIOLATING[name]
+        spec = edited_spec(base, edits)
+        isos = parse_iso(iso, spec) if iso else []
+        report = check_postulates(spec, EnumerationConfig(), isos, strict=strict)
+        assert report == concrete_check(spec, EnumerationConfig(), isos, strict=strict)
+        assert report.passed == passed
 
 
 class TestIsoFile:

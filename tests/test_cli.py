@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import io
 import os
 import re
@@ -124,6 +123,12 @@ SOLD = (
     ("  dynamic owner/0\n", "  dynamic owner/0\n  dynamic relational sold/0\n"),
     ("update sell0:", "update mark: when reply(offer0) = yes() sold() := client0()\nupdate sell0:"),
 )
+# broker.isa with an update rule that reads the reply to (choose), which no history has, at the finals
+# where offer0 is accepted, and an issue rule that reads it at the finals where both offers are declined
+EARLY_AND_LATE = (
+    ("update sell0:", "update early: when reply(offer0) = yes() and answered(offer1) owner() := reply(choose)\nupdate sell0:"),
+    ("issue tie:", "issue late: when reply(offer0) = no() and reply(offer1) = no() emit (choose reply(choose))\nissue tie:"),
+)
 
 
 def write_broker_with(tmp_path, edits, name: str = "edited.isa") -> str:
@@ -205,6 +210,16 @@ def test_update_rule_error_names_the_least_member_of_its_class(tmp_path, capsys,
     assert run_on(write_broker_with(tmp_path, EARLY), [*command, *pool]) == (4, "")
     assert capsys.readouterr().err == (
         "error: 44:1: update rule 'early' fired but mentions an unanswered reply at { (timeout) -> client0 @0 }\n"
+    )
+
+
+def test_check_classifies_every_final_before_reading_issued_sets(tmp_path, capsys):
+    """Check classifies every final history of a state before the bounds section builds an issued set, so the update
+    rule's error comes first, although the issue rule fails at an earlier history."""
+    code = run_on(write_broker_with(tmp_path, EARLY_AND_LATE), ["check", "--pool", "no,yes", "--max-phases", "2"])
+    assert code == (4, "")
+    assert capsys.readouterr().err == (
+        "error: 45:1: update rule 'early' fired but mentions an unanswered reply at { (offer0) -> yes @0 ; (offer1) -> no @0 }\n"
     )
 
 
@@ -392,32 +407,19 @@ def test_short_and_chain_validates_and_enumerates(tmp_path):
     assert out == run_cli("enumerate", BROKER, *SMALL, "--format", "machine")[1]
 
 
-def count_histories() -> int:
-    return sum(isinstance(o, History) for o in gc.get_objects())
-
-
 @pytest.mark.parametrize("fmt", ["human", "machine"])
-def test_enumerate_frees_the_histories_before_printing(fmt):
-    # the listing is printed from the sort keys alone: the histories are freed, by
-    # reference counting (the collector is off), before its first line is written
-    at_first_write = []
-
-    class Out(io.StringIO):
-        def write(self, text: str) -> int:
-            if not at_first_write:
-                at_first_write.append(count_histories())
-            return super().write(text)
-
-    gc.collect()
-    before = count_histories()
-    out = Out()
-    gc.disable()
-    try:
-        assert dispatch(["enumerate", BROKER, *SMALL, "--format", fmt], out) == 0
-    finally:
-        gc.enable()
-    assert out.getvalue() == run_cli("enumerate", BROKER, *SMALL, "--format", fmt)[1]
-    assert at_first_write == [before]
+def test_enumerate_builds_one_history_per_class_node(monkeypatch, fmt):
+    """The listing writes each class node's members as text: the walk builds a `History` for each of broker's 101
+    class nodes but the root, where the listing of 3,209 histories used to build 3,310."""
+    built = []
+    original = History.__post_init__
+    monkeypatch.setattr(History, "__post_init__", lambda xi: built.append(1) or original(xi))
+    out = io.StringIO()
+    assert dispatch(["enumerate", BROKER, "--format", fmt], out) == 0
+    monkeypatch.undo()
+    assert len(built) == 101
+    assert out.getvalue() == run_cli("enumerate", BROKER, "--format", fmt)[1]
+    assert out.getvalue().count("\n") == 3209 + (2 if fmt == "machine" else 1)
 
 
 def write_broker_with_owner_arity(tmp_path, arity: str) -> str:
