@@ -29,8 +29,8 @@ sets, so the commands judge a node once, at its representative, and `equiv`
 counts its members by its weight, the product of its rows' class sizes.
 Members are output, not work: `_lines` writes their texts from the node's
 rows without building them, for the listing of `enumerate` and for each line
-of a node that breaks a postulate.  Only `enumerate_attainable`, which the
-tests read, and the witness section, whose `$x` terms range over each
+of a node that breaks a postulate.  Only `EnumerationResult.histories`, which
+the tests read, and the witness section, whose `$x` terms range over each
 member's own replies, build members.
 
 The walk shows each node to its caller with, per evaluator, the parent's
@@ -40,11 +40,13 @@ history is final, so the walk decides finality and nothing more: it builds
 no update set and decides no success or fail.  Once the walk is done,
 `check_postulates` and `equiv` build a final node's issued set from its
 parent's and classify it, so an update rule that fails when it fires is an
-error there; a rule error met on the walk comes first.  The brute-force
-generator below (`all_bounded_histories`, `brute_force_coherent`) produces
-*all* phase-partitioned answer functions inside the bounds instead; no
-command calls it.  The tests use it as an oracle, and it stays in the
-package because `perfbench/tracing.py` traces it by name.
+error there; a rule error met on the walk comes first.  Only the
+counterpart states of the isomorphism and witness sections are asked about
+one history at a time.  The brute-force generator below
+(`all_bounded_histories`, `brute_force_coherent`) produces *all*
+phase-partitioned answer functions inside the bounds instead; no command
+calls it.  The tests use it as an oracle, and it stays in the package
+because `perfbench/tracing.py` traces it by name.
 
 Part a of the step postulate asks every complete coherent history to have a
 final initial segment.  The attainable set decides it: a coherent history
@@ -70,7 +72,7 @@ and leaves clause 2 out; the two verdicts provably coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain, combinations, product
 from math import prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -131,28 +133,32 @@ class EnumerationConfig:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """The attainable histories found; `truncated` is the one report that a bound cut the space."""
+    """The attainable histories found, as the walk's class nodes (representative, rows); `truncated` is the one report
+    that a bound cut the space."""
 
-    histories: frozenset[History]
+    nodes: tuple[tuple[History, tuple[tuple[str, ...], ...]], ...]
     truncated: bool
+
+    @cached_property
+    def histories(self) -> frozenset[History]:
+        """Every member of every node, built on first use: the listing (`texts`) builds none."""
+        return frozenset(chain.from_iterable(_members(xi, rows) for xi, rows in self.nodes))
+
+    def texts(self) -> list[str]:
+        """Each attainable history's text, in `history_sort_key` order."""
+        return _lines((xi, rows, "", "") for xi, rows in self.nodes)
 
 
 def enumerate_attainable(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> EnumerationResult:
-    """All attainable histories within the bounds: the walk of one evaluator's tree, each class node expanded, as a set."""
-    found: list[History] = []
-    truncated = _walk((spec,), x, cfg, lambda xi, befores, opens, rows: found.extend(_members(xi, rows)))
-    return EnumerationResult(frozenset(found), truncated)
-
-
-def attainable_texts(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> tuple[list[str], bool]:
-    """The listing of `enumerate`, each attainable history's text in `history_sort_key` order; whether a bound cut it."""
-    nodes: list[tuple[History, tuple, str, str]] = []
-    truncated = _walk((spec,), x, cfg, lambda xi, befores, opens, rows: nodes.append((xi, rows, "", "")))
-    return _lines(nodes), truncated
+    """All attainable histories within the bounds: the walk of one evaluator's tree, one class node at a time."""
+    nodes: list[tuple[History, tuple]] = []
+    truncated = _walk((spec,), x, cfg, lambda xi, befores, opens, rows: nodes.append((xi, rows)))
+    return EnumerationResult(tuple(nodes), truncated)
 
 
 def _members(xi: History, rows: tuple[tuple[str, ...], ...]) -> list[History]:
-    """The concrete histories of a class node, each row's reply ranging over its class; they share the rows' tuples."""
+    """The concrete histories of a class node, each row's reply ranging over its class; the rows stay canonical, and
+    the members share their row tuples (built anew per member, they held 0.35 MB more after an enumerate round)."""
     choices = [[row, *[(row[0], r, row[2]) for r in cls[1:]]] for row, cls in zip(xi.entries, rows)]
     return [History(entries) for entries in product(*choices)]
 
@@ -311,36 +317,48 @@ class PostulateReport:
 IsoSpec = tuple[Mapping[str, str], str, str]
 
 
-def check_postulates(spec: AlgorithmSpec, cfg: EnumerationConfig, isos: Sequence[IsoSpec] = (), *, strict: bool = False) -> PostulateReport:
-    """The conformance report of every state's attainable histories, judged by class node.
+def check_postulates(
+    spec: AlgorithmSpec,
+    cfg: EnumerationConfig,
+    isos: Sequence[IsoSpec] = (),
+    *,
+    strict: bool = False,
+) -> PostulateReport:
+    """Aggregate conformance report over the enumerated history space, judged once per class node.
 
-    Each state's final nodes are classified in report order before the bounds section builds an issued set, so a
-    rule error names the least history where a rule fails.  Step-a and the bounds judge a node at its representative,
-    the isomorphism section at its image, and a node that breaks a postulate breaks it at every member, so each
-    member gets its line (`_lines`).  The witness section alone judges members, each with its node's verdict.
-    """
-    step_a, bounds, iso_section, witness_section, truncated = [], [], [], [], False
+    A state's final nodes are all classified before the bounds section builds an issued set, so a rule error names
+    the least history where a rule fails.  A node that breaks a postulate breaks it at every member, and each member
+    gets its line (`_lines`); only the witness section judges members (see its comment)."""
+    step_a: list[str] = []
+    bounds: list[str] = []
+    iso_section: list[str] = []
+    witness_section: list[str] = []
+    truncated = False
 
-    # each state's class nodes in report order, with their parent's issued set and their own where they are open
+    # each state's walk in report order: its class nodes, each with its parent's issued set
+    # and its own where it is open
     walked: dict[str, list[tuple[History, tuple, frozenset[Query], frozenset[Query] | None]]] = {}
     for sdef in spec.states:
-        walked[sdef.name] = nodes = []
-        truncated = _walk((spec,), sdef.structure, cfg, lambda xi, b, o, rows: nodes.append((xi, rows, b[0], o[0]))) or truncated
-        nodes.sort(key=lambda node: history_sort_key(node[0]))
+        x, nodes = sdef.structure, []
+        cut = _walk((spec,), x, cfg, lambda xi, b, o, rows: nodes.append((xi, rows, b[0], o[0])))
+        truncated = truncated or cut
+        walked[sdef.name] = sorted(nodes, key=lambda node: history_sort_key(node[0]))
 
-    # each state's class nodes in report order, with their verdicts
+    # each state's class nodes in report order, with their verdicts; a violating node is
+    # (node, rows, head, tail), and `_lines` writes each member's line
     judged: dict[str, list[tuple[History, tuple, Verdict]]] = {}
     for sdef in spec.states:
-        ev, name, judged[sdef.name], incomplete, over = spec.evaluator(sdef.structure), sdef.name, [], [], []
-        for xi, rows, before, opened in walked[name]:
-            # the walk decides finality only: classifying a final node builds its update set, and meets its rule errors
-            judged[name].append((xi, rows, NOT_FINAL if opened is not None else ev.classify(xi)))
+        ev, judged[sdef.name], incomplete, over = spec.evaluator(sdef.structure), [], [], []
+        for xi, rows, before, opened in walked[sdef.name]:
+            # the walk decides finality only: classifying every final node builds its
+            # update set, so a rule error at a final history surfaces here
+            judged[sdef.name].append((xi, rows, NOT_FINAL if opened is not None else ev.classify(xi)))
             # step-a: in lax mode completion finality makes every complete history final
             if strict and opened is None and not ev.issued(xi, before).difference(xi.answers) and not ev.explicitly_final(xi):
-                incomplete.append((xi, rows, f"state {name}: complete coherent ", " has no final prefix"))
-        for xi, rows, before, opened in walked[name]:
-            issues = bound_violations(spec.bounds, [(xi, opened if opened is not None else ev.issued(xi, before))])
-            over += [(xi, rows, f"state {name}: [{issue.code}] ", f": {issue.detail}") for issue in issues]
+                incomplete.append((xi, rows, f"state {sdef.name}: complete coherent ", " has no final prefix"))
+        for xi, rows, before, opened in walked[sdef.name]:
+            for issue in bound_violations(spec.bounds, [(xi, opened if opened is not None else ev.issued(xi, before))]):
+                over.append((xi, rows, f"state {sdef.name}: [{issue.code}] ", f": {issue.detail}"))
         step_a += _lines(incomplete)
         bounds += _lines(over)
 
@@ -377,9 +395,16 @@ def check_postulates(spec: AlgorithmSpec, cfg: EnumerationConfig, isos: Sequence
             for issue in check_witness(spec, xa, xb, xi, va):
                 witness_section.append(f"{name_a} vs {name_b} at {format_history(xi)}: [{issue.code}] {issue.detail}")
 
-    # exclusivity: a Verdict has one kind, so success and fail exclude each other
-    sections = {"step-a": step_a, "exclusivity": [], "bounds": bounds, "isomorphism": iso_section, "witness": witness_section}
-    return PostulateReport(tuple(SectionResult(name, tuple(lines)) for name, lines in sections.items()), truncated)
+    return PostulateReport(
+        sections=(
+            SectionResult("step-a", tuple(step_a)),
+            SectionResult("exclusivity", ()),  # a Verdict has one kind: success and fail exclude each other
+            SectionResult("bounds", tuple(bounds)),
+            SectionResult("isomorphism", tuple(iso_section)),
+            SectionResult("witness", tuple(witness_section)),
+        ),
+        truncated=truncated,
+    )
 
 
 def format_postulate_report(report: PostulateReport, fmt: str = "human") -> str:

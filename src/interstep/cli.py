@@ -201,13 +201,19 @@ def _cmd_run(args, out) -> int:
 
 def _cmd_enumerate(args, out) -> int:
     spec = _load_spec(args.spec)
-    texts, truncated = analysis.attainable_texts(spec, _pick_state(spec, args.state), _config(args))
+    x = _pick_state(spec, args.state)
+    res = analysis.enumerate_attainable(spec, x, _config(args))
+    texts = res.texts()
     if args.format == "machine":
-        out.write(f"count={len(texts)}\ntruncated={'true' if truncated else 'false'}\n")
-        out.writelines(f"history={text}\n" for text in texts)
+        out.write(f"count={len(texts)}\n")
+        out.write(f"truncated={'true' if res.truncated else 'false'}\n")
+        for text in texts:
+            out.write("history=" + text + "\n")
     else:
-        out.writelines(f"{text}\n" for text in texts)
-        out.write(f"{len(texts)} attainable histories{' (truncated)' if truncated else ''}\n")
+        for text in texts:
+            out.write(text + "\n")
+        suffix = " (truncated)" if res.truncated else ""
+        out.write(f"{len(texts)} attainable histories{suffix}\n")
     return 0
 
 

@@ -290,9 +290,9 @@ def concrete_walk(evaluators: tuple[Evaluator, ...], pool: Sequence[str], cfg: E
 
 
 def concrete_enumerate(spec: AlgorithmSpec, x: Structure, cfg: EnumerationConfig) -> EnumerationResult:
-    """`enumerate_attainable` on the concrete walk."""
+    """`enumerate_attainable` on the concrete walk: each history is a node whose classes are its own replies."""
     found, truncated = concrete_walk((spec.evaluator(x),), cfg.pool_for(x), cfg, lambda *node: None)
-    return EnumerationResult(frozenset(found), truncated)
+    return EnumerationResult(tuple((xi, tuple((r,) for _, r, _ in xi.entries)) for xi in found), truncated)
 
 
 def concrete_check(spec: AlgorithmSpec, cfg: EnumerationConfig, isos: Sequence[IsoSpec] = (), *, strict: bool = False) -> PostulateReport:

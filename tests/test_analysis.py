@@ -691,14 +691,20 @@ def class_config(name, pool):
 WITNESS = "witness { client0() ; client1() ; no() ; yes() }"
 NO_SALE = "final no_sale: when reply(offer0) = no() and reply(offer1) = no() succeed\n"
 EXPIRED = "final expired: when answered(timeout) and not reply(offer0) = yes() and not reply(offer1) = yes() succeed\n"
-# check inputs at the default pool and bounds: (spec, edits, iso file text, strict, whether the report passes)
+SWAP = (SPECS / "swap.iso").read_text()
+# at this pool σ(client0) = client1 is not a reply, so the image of a node that replies client0 is no node of Y0's
+# walk, and the isomorphism section judges it by point query
+NO_CLIENT1 = ("client0", "no", "t", "yes")
+# check inputs at the default bounds: (spec, edits, iso file text, strict, pool or None, whether the report passes)
 VIOLATING = {
-    "max-issued-3": ("broker", (("max_issued 5", "max_issued 3"),), None, False, False),
-    "no-implicit-endings": ("broker", ((NO_SALE, ""), (EXPIRED, "")), None, True, False),
-    "blind-witness": ("broker_sym", ((WITNESS, "witness { no() }"),), None, False, False),
-    "variable-witness": ("broker_sym", ((WITNESS, "witness { $x }"),), None, False, False),
-    "swap": ("broker_sym", (), (SPECS / "swap.iso").read_text(), False, True),
-    "not-an-isomorphism": ("broker_sym", (), "iso X0 Y0 { client0 -> client0 }", False, False),
+    "max-issued-3": ("broker", (("max_issued 5", "max_issued 3"),), None, False, None, False),
+    "no-implicit-endings": ("broker", ((NO_SALE, ""), (EXPIRED, "")), None, True, None, False),
+    "blind-witness": ("broker_sym", ((WITNESS, "witness { no() }"),), None, False, None, False),
+    "variable-witness": ("broker_sym", ((WITNESS, "witness { $x }"),), None, False, None, False),
+    "swap": ("broker_sym", (), SWAP, False, None, True),
+    "swap-without-client1": ("broker_sym", (), SWAP, False, NO_CLIENT1, True),
+    "variable-witness-swap-strict-without-client1": ("broker_sym", ((WITNESS, "witness { $x }"),), SWAP, True, NO_CLIENT1, False),
+    "not-an-isomorphism": ("broker_sym", (), "iso X0 Y0 { client0 -> client0 }", False, None, False),
 }
 
 
@@ -719,7 +725,9 @@ class TestReplyClasses:
         cfg = class_config(name, CLASS_POOLS[pool])
         for spec in class_case(name):
             for sdef in spec.states:
-                assert enumerate_attainable(spec, sdef.structure, cfg) == concrete_enumerate(spec, sdef.structure, cfg)
+                got, want = enumerate_attainable(spec, sdef.structure, cfg), concrete_enumerate(spec, sdef.structure, cfg)
+                assert (got.histories, got.truncated) == (want.histories, want.truncated)
+                assert got.texts() == [format_history(xi) for xi in sorted(want.histories, key=history_sort_key)]
 
     @pytest.mark.parametrize("pool", CLASS_POOLS)
     @pytest.mark.parametrize("name", CLASS_CASES)
@@ -739,12 +747,19 @@ class TestReplyClasses:
     @pytest.mark.parametrize("name", VIOLATING)
     def test_violations_equal_the_concrete_check(self, name):
         """Where a section fails, each member of a violating class node has its own line, in report order."""
-        base, edits, iso, strict, passed = VIOLATING[name]
-        spec = edited_spec(base, edits)
+        base, edits, iso, strict, pool, passed = VIOLATING[name]
+        spec, cfg = edited_spec(base, edits), EnumerationConfig(reply_pool=pool)
         isos = parse_iso(iso, spec) if iso else []
-        report = check_postulates(spec, EnumerationConfig(), isos, strict=strict)
-        assert report == concrete_check(spec, EnumerationConfig(), isos, strict=strict)
+        report = check_postulates(spec, cfg, isos, strict=strict)
+        assert report == concrete_check(spec, cfg, isos, strict=strict)
         assert report.passed == passed
+
+    def test_an_image_outside_the_walk_is_judged_by_point_query(self, monkeypatch):
+        spec = edited_spec("broker_sym", ())
+        moved = []
+        monkeypatch.setattr(analysis, "verdict", lambda spec, x, xi: moved.append(xi) or verdict(spec, x, xi))
+        check_postulates(spec, EnumerationConfig(reply_pool=NO_CLIENT1), parse_iso(SWAP, spec))
+        assert moved and all(" -> client1 @" in format_history(xi) for xi in moved)
 
 
 class TestIsoFile:
